@@ -1,0 +1,66 @@
+"""How input text becomes JSON, and how a failure to read it is reported.
+
+Every file handwave reads is ASCII JSON: one whole document, or one document
+per non-blank line. Each reader names the HandwaveError subclass its failures
+raise, so a bad byte, bad syntax and a bad value all end as ``error: ...``.
+"""
+
+from __future__ import annotations
+
+import json
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Any, Iterable, Iterator
+
+from .errors import HandwaveError, ParseError
+
+# What converting a decoded JSON value to a number can raise: a string or a
+# list (ValueError, TypeError), or an integer too large for a float.
+NUMBER_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _open(path: str | Path):
+    # Bytes above 0x7f become lone surrogates, which _loads reports.
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _loads(text: str, where: str, error: type[HandwaveError]) -> Any:
+    if not text.isascii():
+        try:  # always raises: the codec names the first offending byte
+            text.encode("ascii", "surrogateescape").decode("ascii")
+        except UnicodeError as exc:
+            raise error(f"{where}not ASCII: {exc}") from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}malformed JSON: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str, error: type[HandwaveError]) -> Any:
+    """Decode a whole-file JSON document; failures read ``<what>: ...``."""
+    with _open(path) as fh:
+        return _loads(fh.read(), f"{what}: ", error)
+
+
+def json_lines(source: Iterable[str] | str | Path,
+               error: type[HandwaveError] = ParseError) -> Iterator[tuple[int, Any]]:
+    """Yield (line_no, obj) for each non-blank line of a path or an iterable of str."""
+    opened = _open(source) if isinstance(source, (str, Path)) else nullcontext(source)
+    with opened as lines:
+        for n, line in enumerate(lines, start=1):
+            if line.strip():
+                yield n, _loads(line, f"line {n}: ", error)
+
+
+class at_line:
+    """Prefix any HandwaveError raised inside the block with ``line N: ``."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, HandwaveError):
+            raise type(exc)(f"line {self.n}: {exc}") from exc

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import control, detect, gestures, palmauth, streams, synth
+from ._jsonio import NUMBER_ERRORS, read_json
 from .errors import ConfigError, DataError, HandwaveError
 from .evaluate import (
     evaluate as evaluate_pairs,
@@ -45,30 +46,36 @@ def _emit(obj) -> None:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: malformed JSON: {exc}") from exc
+    obj = read_json(path, "config", ConfigError)
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object")
     return obj
 
 
+def _setting(config: dict, section: str, key: str, default, kind=float):
+    """One numeric setting of a config section, converted by ``kind``."""
+    part = config.get(section, {})
+    if not isinstance(part, dict):
+        raise ConfigError(f"config: {section} must be an object")
+    value = part.get(key, default)
+    try:
+        return kind(value)
+    except NUMBER_ERRORS:
+        raise ConfigError(f"config: {section}.{key} must be a number, got {value!r}") from None
+
+
 def _finger_params(config: dict) -> gestures.FingerStateParams:
-    section = config.get("finger_params", {})
     return gestures.FingerStateParams(
-        thumb_slope_max=float(section.get("thumb_slope_max", 1.0)),
-        thumb_min_dx=float(section.get("thumb_min_dx", 0.04)),
+        thumb_slope_max=_setting(config, "finger_params", "thumb_slope_max", 1.0),
+        thumb_min_dx=_setting(config, "finger_params", "thumb_min_dx", 0.04),
     )
 
 
 def _controller(config: dict) -> control.ControllerConfig:
-    section = config.get("controller", {})
     return control.ControllerConfig(
-        deadzone=float(section.get("deadzone", 0.05)),
-        gain=float(section.get("gain", 40.0)),
-        max_steps=int(section.get("max_steps", 20)),
+        deadzone=_setting(config, "controller", "deadzone", 0.05),
+        gain=_setting(config, "controller", "gain", 40.0),
+        max_steps=_setting(config, "controller", "max_steps", 20, int),
     )
 
 
@@ -168,11 +175,7 @@ def cmd_replay(args) -> int:
 def _load_mapping(path: str | None) -> dict[str, control.DeviceCommand]:
     if path is None:
         return {}
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"mapping: malformed JSON: {exc}") from exc
+    obj = read_json(path, "mapping", ConfigError)
     if not isinstance(obj, dict):
         raise ConfigError("mapping: expected {gesture: {device, action}}")
     mapping = {}
@@ -286,15 +289,14 @@ def cmd_verify(args) -> int:
     record = next((r for r in records if r.subject_id == args.subject), None)
     if record is None:
         raise DataError(f"subject {args.subject!r} is not enrolled")
-    with open(args.probe, "r", encoding="ascii") as fh:
-        try:
-            probe_obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"probe: malformed JSON: {exc}") from exc
+    probe_obj = read_json(args.probe, "probe", DataError)
     if not isinstance(probe_obj, dict) or not isinstance(probe_obj.get("features"), list):
         raise DataError("probe: expected {\"features\": [reals]}")
-    decision = palmauth.verify(
-        np.asarray(probe_obj["features"], dtype=np.float64), record, params)
+    try:
+        probe = np.asarray(probe_obj["features"], dtype=np.float64)
+    except NUMBER_ERRORS as exc:
+        raise DataError(f"probe: features must be numbers ({exc})") from exc
+    decision = palmauth.verify(probe, record, params)
     _emit({"accepted": decision.accepted, "distance": decision.distance,
            "subject": decision.subject_id})
     return 0

@@ -15,7 +15,6 @@ mapped through the detected hand region into image coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DecodeError, ParseError, ValidationError
+from ._jsonio import NUMBER_ERRORS, at_line, json_lines
+from .errors import ConfigError, DecodeError, ValidationError
 from .model import NUM_LANDMARKS, Handedness, LandmarkSet
 
 DEFAULT_IOU_THRESH = 0.3
@@ -143,13 +143,12 @@ class AnchorConfig:
                 )
                 for layer in obj["layers"]
             )
-        except (KeyError, TypeError) as exc:
+            center_variance = float(obj.get("center_variance", 0.1))
+            size_variance = float(obj.get("size_variance", 0.2))
+        except (KeyError, *NUMBER_ERRORS) as exc:
             raise ConfigError(f"anchors: bad layer spec ({exc})") from exc
-        return cls(
-            layers=layers,
-            center_variance=float(obj.get("center_variance", 0.1)),
-            size_variance=float(obj.get("size_variance", 0.2)),
-        )
+        return cls(layers=layers, center_variance=center_variance,
+                   size_variance=size_variance)
 
     def to_obj(self) -> dict:
         return {
@@ -320,7 +319,10 @@ class PredictionRecord:
     preds: np.ndarray  # (N, 5) float64: logit, tx, ty, tw, th
 
     def __post_init__(self) -> None:
-        preds = np.asarray(self.preds, dtype=np.float64)
+        try:
+            preds = np.asarray(self.preds, dtype=np.float64)
+        except NUMBER_ERRORS as exc:
+            raise ValidationError(f"preds: expected rows of numbers ({exc})") from exc
         if preds.ndim != 2 or preds.shape[1] != 5:
             raise ValidationError(f"preds: expected (N, 5) rows, got shape {preds.shape}")
         if not np.isfinite(preds).all():
@@ -339,17 +341,13 @@ def read_predictions(source: Iterable[str] | str | Path) -> Iterator[PredictionR
     Line schema: {"anchors_cfg": {...}, "preds": [[logit, tx, ty, tw, th] * N]}
     where N must equal the anchor count the config defines.
     """
-    for n, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {n}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "anchors_cfg" not in obj or "preds" not in obj:
-            raise ValidationError(f"line {n}: expected fields 'anchors_cfg' and 'preds'")
-        yield PredictionRecord(anchors_cfg=AnchorConfig.from_obj(obj["anchors_cfg"]),
-                               preds=obj["preds"])
+    for n, obj in json_lines(source):
+        with at_line(n):
+            if not isinstance(obj, dict) or "anchors_cfg" not in obj or "preds" not in obj:
+                raise ValidationError("expected fields 'anchors_cfg' and 'preds'")
+            record = PredictionRecord(anchors_cfg=AnchorConfig.from_obj(obj["anchors_cfg"]),
+                                      preds=obj["preds"])
+        yield record
 
 
 def decode_record(record: PredictionRecord,
@@ -379,41 +377,32 @@ def read_confidence_maps(source: Iterable[str] | str | Path) -> Iterator[Confide
     optional "region": [cx, cy, w, h] locating the maps inside the image
     (full image when absent).
     """
-    for n, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {n}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValidationError(f"line {n}: expected an object")
-        try:
-            height, width = int(obj["h"]), int(obj["w"])
-            rows = obj["maps"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"line {n}: expected fields 'h', 'w', 'maps' ({exc})") from exc
-        if not isinstance(rows, list) or len(rows) != NUM_LANDMARKS:
-            raise ValidationError(f"line {n}: expected {NUM_LANDMARKS} maps")
-        try:
-            grids = np.asarray(rows, dtype=np.float64).reshape(NUM_LANDMARKS, height, width)
-        except ValueError as exc:
-            raise ValidationError(f"line {n}: map size does not match h*w ({exc})") from exc
-        region = None
-        if "region" in obj:
-            vals = obj["region"]
-            if not isinstance(vals, list) or len(vals) != 4:
-                raise ValidationError(f"line {n}: region must be [cx, cy, w, h]")
-            region = BBox(float(vals[0]), float(vals[1]), float(vals[2]), float(vals[3]), 1.0)
+    for n, obj in json_lines(source):
+        with at_line(n):
+            if not isinstance(obj, dict):
+                raise ValidationError("expected an object")
+            try:
+                height, width = int(obj["h"]), int(obj["w"])
+                rows = obj["maps"]
+            except (KeyError, *NUMBER_ERRORS) as exc:
+                raise ValidationError(f"expected fields 'h', 'w', 'maps' ({exc})") from exc
+            if not isinstance(rows, list) or len(rows) != NUM_LANDMARKS:
+                raise ValidationError(f"expected {NUM_LANDMARKS} maps")
+            try:
+                grids = np.asarray(rows, dtype=np.float64).reshape(NUM_LANDMARKS, height, width)
+            except NUMBER_ERRORS as exc:
+                raise ValidationError(f"map size does not match h*w ({exc})") from exc
+            region = None
+            if "region" in obj:
+                vals = obj["region"]
+                if not isinstance(vals, list) or len(vals) != 4:
+                    raise ValidationError("region must be [cx, cy, w, h]")
+                try:
+                    region = BBox(*(float(v) for v in vals), 1.0)
+                except NUMBER_ERRORS as exc:
+                    raise ValidationError(f"region: values must be numbers ({exc})") from exc
         yield ConfidenceMapRecord(maps=grids, region=region)
 
 
 FULL_IMAGE = BBox(0.5, 0.5, 1.0, 1.0, 1.0)
 
-
-def _iter_lines(source: Iterable[str] | str | Path) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from fh
-    else:
-        yield from source

@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from ._jsonio import read_json
 from .errors import StreamOrderError, ValidationError
 from .model import (
     MCP,
@@ -301,12 +302,7 @@ def registry_to_obj(registry: GestureRegistry) -> list:
 
 def load_registry(path: str | Path) -> GestureRegistry:
     """Load a registry file (a JSON array of {name, pattern, hold_frames})."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"registry: malformed JSON: {exc}") from exc
-    return registry_from_obj(obj)
+    return registry_from_obj(read_json(path, "registry", ValidationError))
 
 
 def save_registry(path: str | Path, registry: GestureRegistry) -> None:

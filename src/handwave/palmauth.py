@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._jsonio import NUMBER_ERRORS, at_line, json_lines, read_json
 from .errors import (
     DataError,
     DimensionError,
@@ -531,27 +532,21 @@ def load_features(source: Iterable[str] | str | Path) -> dict[str, np.ndarray]:
     """Read a feature dataset: JSONL of {"subject": str, "features": [reals]}."""
     rows: dict[str, list[list[float]]] = {}
     dim: int | None = None
-    lines = _iter_lines(source)
-    for n, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"line {n}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict) or not isinstance(obj.get("subject"), str) \
-                or not isinstance(obj.get("features"), list):
-            raise DataError(f"line {n}: expected fields 'subject' and 'features'")
-        try:
-            vec = [float(v) for v in obj["features"]]
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"line {n}: features must be numeric: {exc}") from exc
-        if not all(math.isfinite(v) for v in vec):
-            raise DataError(f"line {n}: features must be finite")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise DimensionError(f"line {n}: feature length {len(vec)} != {dim}")
+    for n, obj in json_lines(source, DataError):
+        with at_line(n):
+            if not isinstance(obj, dict) or not isinstance(obj.get("subject"), str) \
+                    or not isinstance(obj.get("features"), list):
+                raise DataError("expected fields 'subject' and 'features'")
+            try:
+                vec = [float(v) for v in obj["features"]]
+            except NUMBER_ERRORS as exc:
+                raise DataError(f"features must be numeric: {exc}") from exc
+            if not all(math.isfinite(v) for v in vec):
+                raise DataError("features must be finite")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise DimensionError(f"feature length {len(vec)} != {dim}")
         rows.setdefault(obj["subject"], []).append(vec)
     if not rows:
         raise DataError("feature dataset is empty")
@@ -606,28 +601,27 @@ def save_store(path: str | Path, records: Sequence[EnrollmentRecord],
 
 def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
     """Read an enrollment store; returns (records, normalize, dim)."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"store: malformed JSON: {exc}") from exc
+    obj = read_json(path, "store", DataError)
     if not isinstance(obj, dict) or obj.get("version") != STORE_VERSION:
         raise DataError(f"store: expected version {STORE_VERSION}")
     try:
         normalize = bool(obj["normalize"])
         dim = int(obj["dim"])
         entries = obj["records"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, *NUMBER_ERRORS) as exc:
         raise DataError(f"store: missing or bad field ({exc})") from exc
     if not isinstance(entries, list):
         raise DataError("store: records must be a list")
     records = []
-    for entry in entries:
-        record = EnrollmentRecord(
-            subject_id=entry["subject"],
-            anchors=np.asarray(entry["anchors"], dtype=np.float64),
-            threshold=float(entry["threshold"]),
-        )
+    for i, entry in enumerate(entries):
+        try:
+            record = EnrollmentRecord(
+                subject_id=entry["subject"],
+                anchors=np.asarray(entry["anchors"], dtype=np.float64),
+                threshold=float(entry["threshold"]),
+            )
+        except (KeyError, *NUMBER_ERRORS) as exc:
+            raise DataError(f"store: records[{i}]: missing or bad field ({exc})") from exc
         if record.anchors.shape[1] != dim:
             raise DataError(
                 f"store: record {record.subject_id!r} dimension {record.anchors.shape[1]} != {dim}")
@@ -650,11 +644,7 @@ def save_params(path: str | Path, params: EncoderParams) -> None:
 
 
 def load_params(path: str | Path) -> EncoderParams:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"params: malformed JSON: {exc}") from exc
+    obj = read_json(path, "params", DataError)
     try:
         return EncoderParams(
             w1=np.asarray(obj["w1"], dtype=np.float64),
@@ -663,13 +653,6 @@ def load_params(path: str | Path) -> EncoderParams:
             b2=np.asarray(obj["b2"], dtype=np.float64),
             normalize=bool(obj["normalize"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, *NUMBER_ERRORS) as exc:
         raise DataError(f"params: missing or bad field ({exc})") from exc
 
-
-def _iter_lines(source: Iterable[str] | str | Path):
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from fh
-    else:
-        yield from source

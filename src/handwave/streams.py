@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from ._jsonio import at_line, json_lines
 from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
@@ -29,7 +30,10 @@ _HAND_KEYS = {"hd", "pts", "conf"}
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{path}: must be finite, got {value!r}") from None
     if out != out or out in (float("inf"), float("-inf")):
         raise ValidationError(f"{path}: must be finite, got {value!r}")
     return out
@@ -145,29 +149,24 @@ def validate_frame(frame: HandFrame) -> None:
             raise ValidationError(f"hands[{i}].pts: coordinates must lie in [0, 1]")
 
 
-def _lines(source: Iterable[str] | str | Path) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
-            yield from fh
-    else:
-        yield from source
+def _check_order(frame: HandFrame, last_t: int | None) -> int:
+    if last_t is not None and frame.t_ms <= last_t:
+        raise StreamOrderError(f"timestamp {frame.t_ms} does not increase past {last_t}")
+    return frame.t_ms
 
 
 def read_frames(source: Iterable[str] | str | Path) -> Iterator[HandFrame]:
     """Yield frames from a path or line iterable, enforcing increasing timestamps.
 
     Blank lines are skipped. Raises StreamOrderError on the first frame whose
-    timestamp is not strictly greater than its predecessor's.
+    timestamp is not strictly greater than its predecessor's. Every error
+    names its line.
     """
     last_t: int | None = None
-    for n, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            continue
-        frame = parse_frame(line)
-        if last_t is not None and frame.t_ms <= last_t:
-            raise StreamOrderError(
-                f"line {n}: timestamp {frame.t_ms} does not increase past {last_t}")
-        last_t = frame.t_ms
+    for n, obj in json_lines(source):
+        with at_line(n):
+            frame = frame_from_obj(obj)
+            last_t = _check_order(frame, last_t)
         yield frame
 
 
@@ -189,23 +188,15 @@ def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFram
     is enforced exactly as in read_frames.
     """
     last_t: int | None = None
-    for n, line in enumerate(_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {n}: malformed JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValidationError(f"line {n}: expected an object")
-        label = obj.pop("label", "none")
-        if not isinstance(label, str) or not label:
-            raise ValidationError(f"line {n}: label must be a non-empty string")
-        frame = frame_from_obj(obj)
-        if last_t is not None and frame.t_ms <= last_t:
-            raise StreamOrderError(
-                f"line {n}: timestamp {frame.t_ms} does not increase past {last_t}")
-        last_t = frame.t_ms
+    for n, obj in json_lines(source):
+        with at_line(n):
+            if not isinstance(obj, dict):
+                raise ValidationError("expected an object")
+            label = obj.pop("label", "none")
+            if not isinstance(label, str) or not label:
+                raise ValidationError("label must be a non-empty string")
+            frame = frame_from_obj(obj)
+            last_t = _check_order(frame, last_t)
         yield frame, label
 
 

@@ -1,0 +1,323 @@
+"""Bad input files end in ``error: ...`` with exit 1, never in a traceback.
+
+Every subcommand reads its files through one ASCII-JSON reader. The tests
+here feed it known-bad inputs, fuzz each subcommand's valid inputs with
+hypothesis, and run the demos end to end.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from handwave import (
+    AnchorConfig,
+    LayerSpec,
+    DataError,
+    StreamOrderError,
+    SynthSpec,
+    ValidationError,
+    default_registry,
+    enroll,
+    init_encoder,
+    load_features,
+    read_frames,
+    save_features,
+    save_params,
+    save_registry,
+    save_store,
+    synth_corpus,
+    write_frames,
+    write_labelled,
+)
+from handwave.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """One valid file of every kind the fuzzed subcommands read."""
+    root = tmp_path_factory.mktemp("inputs")
+    pairs = synth_corpus(SynthSpec.from_registry(
+        default_registry(), frames_per_gesture=6, jitter_sigma=0.0))[:12]
+    write_frames(root / "frames.jsonl", (frame for frame, _ in pairs))
+    write_labelled(root / "corpus.jsonl", pairs)
+
+    cfg = AnchorConfig(layers=(LayerSpec(2, 1, (0.5,), (1.0, 2.0)),))
+    preds = [[2.0, 0.1, -0.1, 0.0, 0.2], [-1.0, 0.0, 0.0, 0.0, 0.0],
+             [1.5, 0.0, 0.3, 0.1, 0.0], [0.5, 0.2, 0.0, 0.0, -0.1]]
+    (root / "preds.jsonl").write_text(
+        json.dumps({"anchors_cfg": cfg.to_obj(), "preds": preds}) + "\n")
+
+    maps = np.zeros((21, 2, 3))
+    maps[:, 1, 2] = 0.75
+    (root / "maps.jsonl").write_text(json.dumps(
+        {"h": 2, "w": 3, "maps": maps.reshape(21, 6).tolist(),
+         "region": [0.5, 0.5, 0.4, 0.4]}) + "\n")
+
+    rng = np.random.default_rng(0)
+    features = {f"s{i}": rng.normal(i, 0.1, size=(3, 4)) for i in range(3)}
+    save_features(root / "data.jsonl", features)
+    params = init_encoder(4, 4, 2, seed=0)
+    save_params(root / "params.json", params)
+    save_store(root / "store.json", [enroll("s0", features["s0"], params, 0.5)],
+               normalize=params.normalize, dim=params.embed_dim)
+    (root / "probe.json").write_text(
+        json.dumps({"features": features["s0"][0].tolist()}) + "\n")
+    (root / "config.json").write_text(json.dumps(
+        {"finger_params": {"thumb_slope_max": 1.0, "thumb_min_dx": 0.04},
+         "controller": {"deadzone": 0.05, "gain": 40.0, "max_steps": 20}}) + "\n")
+    save_registry(root / "registry.json", default_registry())
+    (root / "port").touch()
+    return root
+
+
+# Each subcommand's argv, with every input file named by its file name.
+COMMANDS = {
+    "replay": ["--frames", "frames.jsonl", "--config", "config.json",
+               "--registry", "registry.json"],
+    "eval": ["--corpus", "corpus.jsonl", "--config", "config.json",
+             "--registry", "registry.json"],
+    "decode": ["--preds", "preds.jsonl"],
+    "keypoints": ["--maps", "maps.jsonl"],
+    "verify": ["--store", "store.json", "--subject", "s0", "--probe", "probe.json",
+               "--params", "params.json"],
+    "roc": ["--data", "data.jsonl", "--params", "params.json"],
+    "track": ["--frames", "frames.jsonl", "--uri", "serial:port", "--config", "config.json"],
+}
+
+
+def argv_for(root, command, replace=None, path=None):
+    """The command's argv over ``root``, with file ``replace`` read from ``path``."""
+    argv = [command]
+    for arg in COMMANDS[command]:
+        if arg == replace:
+            argv.append(path)
+        elif arg.endswith((".json", ".jsonl")):
+            argv.append(root / arg)
+        elif arg.startswith("serial:"):
+            argv.append(f"serial:{root / arg[len('serial:'):]}")
+        else:
+            argv.append(arg)
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(set(COMMANDS) - {"track"}))
+def test_valid_inputs_succeed(inputs, command):
+    code, out, err = run_main(*argv_for(inputs, command))
+    assert (code, err) == (0, "")
+    assert out
+
+
+FRAME = {"t": 0, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}]}
+ANCHORS = {"layers": [{"grid_w": 1, "grid_h": 1, "scales": [0.5], "aspect_ratios": [1.0]}]}
+STORE = {"version": 1, "normalize": True, "dim": 2,
+         "records": [{"subject": "s0", "threshold": 0.5, "anchors": [[0.6, 0.8]]}]}
+
+
+def _with(obj, **fields):
+    return json.dumps({**obj, **fields}).encode()
+
+
+def _store_record(record):
+    return json.dumps({**STORE, "records": [record]}).encode()
+
+
+# (id, command, file replaced, its bytes, a fragment the error message holds)
+BAD_INPUTS = [
+    ("frames-non-ascii", "replay", "frames.jsonl", b'{"t": 0, "hands": []}\xc3\n',
+     "error: line 1: not ASCII: 'ascii' codec can't decode byte 0xc3 in position 21"),
+    ("corpus-non-ascii", "eval", "corpus.jsonl",
+     b'{"t": 0, "hands": [], "label": "caf\xc3\xa9"}\n', "error: line 1: not ASCII:"),
+    ("features-non-ascii", "roc", "data.jsonl", b'{"subject": "\xff", "features": [1]}\n',
+     "error: line 1: not ASCII:"),
+    ("config-non-ascii", "replay", "config.json", b'{"controller": {}}\x80',
+     "error: config: not ASCII:"),
+    ("params-too-deep", "roc", "params.json", b"[" * 100_000,
+     "error: params: malformed JSON: maximum recursion depth"),
+    ("frame-short-pts", "replay", "frames.jsonl",
+     json.dumps({"t": 0, "hands": [{"hd": "R", "pts": [[0.5, 0.5]]}]}).encode(),
+     "error: line 1: hands[0].pts: expected 21 points, got 1"),
+    ("frame-malformed-json", "replay", "frames.jsonl",
+     json.dumps(FRAME).encode() + b"\n{",
+     "error: line 2: malformed JSON: Expecting property name"),
+    ("frame-huge-integer", "replay", "frames.jsonl",
+     json.dumps(FRAME).replace("0.5", "1" + "0" * 400, 1).encode(),
+     "error: line 1: hands[0].pts[0].x: must be finite"),
+    ("corpus-bad-frame", "eval", "corpus.jsonl", _with(FRAME, t=1.5),
+     "error: line 1: t: expected integer milliseconds"),
+    ("region-non-numeric", "keypoints", "maps.jsonl",
+     json.dumps({"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21,
+                 "region": ["a", 0.5, 0.5, 0.5]}).encode(),
+     "error: line 1: region: values must be numbers"),
+    ("preds-non-numeric", "decode", "preds.jsonl",
+     json.dumps({"anchors_cfg": ANCHORS, "preds": [["x", 0, 0, 0, 0]]}).encode(),
+     "error: line 1: preds: expected rows of numbers"),
+    ("anchors-grid-non-numeric", "decode", "preds.jsonl",
+     json.dumps({"anchors_cfg": {"layers": [{**ANCHORS["layers"][0], "grid_w": "x"}]},
+                 "preds": [[0, 0, 0, 0, 0]]}).encode(),
+     "error: line 1: anchors: bad layer spec"),
+    ("anchors-variance-non-numeric", "decode", "preds.jsonl",
+     json.dumps({"anchors_cfg": {**ANCHORS, "size_variance": [1]},
+                 "preds": [[0, 0, 0, 0, 0]]}).encode(),
+     "error: line 1: anchors: bad layer spec"),
+    ("store-record-no-subject", "verify", "store.json",
+     _store_record({"threshold": 0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0]: missing or bad field ('subject')"),
+    ("store-record-not-object", "verify", "store.json", _store_record([1, 2]),
+     "error: store: records[0]: missing or bad field"),
+    ("store-anchors-non-numeric", "verify", "store.json",
+     _store_record({"subject": "s0", "threshold": 0.5, "anchors": [["a", "b"]]}),
+     "error: store: records[0]: missing or bad field"),
+    ("store-dim-infinite", "verify", "store.json", _with(STORE, dim=float("inf")),
+     "error: store: missing or bad field"),
+    ("probe-non-numeric", "verify", "probe.json", b'{"features": ["a", 1, 2, 3]}',
+     "error: probe: features must be numbers"),
+    ("finger-params-non-numeric", "replay", "config.json",
+     b'{"finger_params": {"thumb_slope_max": "steep"}}',
+     "error: config: finger_params.thumb_slope_max must be a number, got 'steep'"),
+    ("controller-non-numeric", "track", "config.json", b'{"controller": {"gain": "fast"}}',
+     "error: config: controller.gain must be a number, got 'fast'"),
+    ("controller-steps-infinite", "track", "config.json",
+     b'{"controller": {"max_steps": Infinity}}',
+     "error: config: controller.max_steps must be a number, got inf"),
+    ("controller-not-object", "track", "config.json", b'{"controller": [1]}',
+     "error: config: controller must be an object"),
+]
+
+
+@pytest.mark.parametrize("command, name, data, message",
+                         [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, _, err = run_main(*argv_for(inputs, command, name, path))
+    assert code == 1
+    assert err.startswith(message), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("reader, text, error, message", [
+    (read_frames, '{"t": 0, "hands": []}\n\n{"t": 0, "hands": []}\n',
+     StreamOrderError, "line 3: timestamp 0 does not increase past 0"),
+    (load_features, '\n{"subject": "a", "features": ["x"]}\n',
+     DataError, "line 2: features must be numeric: could not convert string to float: 'x'"),
+    (read_frames, '{"t": 0, "hands": [], "note": "\\u00e9"}\n',
+     ValidationError, "line 1: frame: unexpected field 'note'"),
+], ids=["order", "features", "escaped-unicode"])
+def test_paths_and_line_iterables_read_alike(tmp_path, reader, text, error, message):
+    path = tmp_path / "input.jsonl"
+    path.write_text(text)
+    for source in (path, str(path), text.splitlines(keepends=True)):
+        with pytest.raises(error) as info:
+            list(reader(source))
+        assert str(info.value) == message
+
+
+# --- fuzzing: each subcommand's valid inputs, mutated one file at a time ---
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers() | st.sampled_from([0, 1, -1, 2, 21, 10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def structural_edit(draw, text, jsonl):
+    """Replace or delete one node of one JSON document in ``text``."""
+    docs = text.splitlines() if jsonl else [text]
+    line = draw(st.integers(0, len(docs) - 1))
+    doc = json.loads(docs[line])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        doc = draw(JSON_VALUES)
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    docs[line] = json.dumps(doc)
+    return ("\n".join(docs) + "\n").encode()
+
+
+@st.composite
+def byte_edit(draw, data):
+    """Cut up to three bytes at one offset and insert up to three arbitrary ones."""
+    at = draw(st.integers(0, len(data)))
+    cut = draw(st.integers(0, 3))
+    return data[:at] + draw(st.binary(max_size=3)) + data[at + cut:]
+
+
+FUZZED = {
+    "replay": ["frames.jsonl", "config.json", "registry.json"],
+    "eval": ["corpus.jsonl", "config.json", "registry.json"],
+    "decode": ["preds.jsonl"],
+    "keypoints": ["maps.jsonl"],
+    "verify": ["store.json", "probe.json", "params.json"],
+    "roc": ["data.jsonl", "params.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZED))
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_never_traceback(inputs, tmp_path, command, data):
+    name = data.draw(st.sampled_from(FUZZED[command]))
+    original = (inputs / name).read_bytes()
+    if data.draw(st.booleans()):
+        mutated = data.draw(structural_edit(original.decode("ascii"), name.endswith(".jsonl")))
+    else:
+        mutated = data.draw(byte_edit(original))
+    path = tmp_path / name
+    path.write_bytes(mutated)
+    code, _, err = run_main(*argv_for(inputs, command, name, path))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ")
+
+
+# --- demos ---
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
