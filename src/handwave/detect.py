@@ -15,6 +15,7 @@ mapped through the detected hand region into image coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,15 @@ from .model import NUM_LANDMARKS, Handedness, LandmarkSet
 
 DEFAULT_IOU_THRESH = 0.3
 DEFAULT_SCORE_THRESH = 0.5
+
+# decode_record's numpy prefilter picks the rows that go through decode_box.
+# numpy's exp may differ from math.exp in the last bit, so every bound keeps a
+# margin far wider than that: a score within _SCORE_MARGIN of the threshold,
+# or a size exponent or size near where math.exp overflows (above ~709.78) or
+# the size underflows, sends its row to the scalar path.
+_SCORE_MARGIN = 1e-9
+_EXP_LIMIT = 700.0
+_SIZE_MIN, _SIZE_MAX = 1e-300, 1e300
 
 
 @dataclass(frozen=True)
@@ -189,6 +199,15 @@ def generate_anchors(cfg: AnchorConfig) -> list[Anchor]:
     return anchors
 
 
+@functools.lru_cache(maxsize=4)
+def _tiling(cfg: AnchorConfig) -> tuple[tuple[Anchor, ...], np.ndarray]:
+    """The anchors of ``cfg``, as objects and as a read-only (N, 4) array."""
+    anchors = tuple(generate_anchors(cfg))
+    geometry = np.array([(a.cx, a.cy, a.w, a.h) for a in anchors], dtype=np.float64)
+    geometry.setflags(write=False)
+    return anchors, geometry
+
+
 def _sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -253,15 +272,25 @@ def nms(boxes: Sequence[BBox],
     if not candidates:
         return []
     candidates.sort(key=lambda pair: (-pair[0].score, pair[1]))
+    # Corners and areas in the operation order of iou, so that each IoU row
+    # holds exactly the values iou would return.
+    geometry = np.array([(box.cx, box.cy, box.w, box.h) for box, _ in candidates])
+    cx, cy, w, h = geometry.T
+    alive = np.ones(len(candidates), dtype=bool)
     kept: list[BBox] = []
-    alive = [True] * len(candidates)
-    for i, (box, _) in enumerate(candidates):
-        if not alive[i]:
-            continue
-        kept.append(box)
-        for j in range(i + 1, len(candidates)):
-            if alive[j] and iou(box, candidates[j][0]) > iou_thresh:
-                alive[j] = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x1, y1, x2, y2 = cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2
+        areas = (x2 - x1) * (y2 - y1)
+        for k, (box, _) in enumerate(candidates):
+            if not alive[k]:
+                continue
+            kept.append(box)
+            rest = slice(k + 1, None)
+            iw = np.minimum(x2[k], x2[rest]) - np.maximum(x1[k], x1[rest])
+            ih = np.minimum(y2[k], y2[rest]) - np.maximum(y1[k], y1[rest])
+            inter = iw * ih
+            union = (areas[k] + areas[rest]) - inter
+            alive[rest] &= ~((iw > 0.0) & (ih > 0.0) & (inter / union > iou_thresh))
     return kept
 
 
@@ -353,12 +382,30 @@ def read_predictions(source: Iterable[str] | str | Path) -> Iterator[PredictionR
 def decode_record(record: PredictionRecord,
                   iou_thresh: float = DEFAULT_IOU_THRESH,
                   score_thresh: float = DEFAULT_SCORE_THRESH) -> list[BBox]:
-    """Decode every row of a record against its tiling and run NMS."""
-    anchors = generate_anchors(record.anchors_cfg)
-    boxes = [
-        decode_box(RawPrediction(*row), anchor, record.anchors_cfg)
-        for row, anchor in zip(record.preds, anchors)
-    ]
+    """Decode a record's rows against its tiling and run NMS.
+
+    Gives what decoding every row with decode_box and passing the boxes to nms
+    gives, errors included. numpy only picks the rows that can matter: those
+    whose score may reach ``score_thresh`` and those whose decode may fail.
+    Those rows go through decode_box in index order, so every returned value
+    and the first failure come from the scalar path.
+    """
+    cfg = record.anchors_cfg
+    anchors, geometry = _tiling(cfg)
+    logit, tx, ty, tw, th = record.preds.T
+    ax, ay, aw, ah = geometry.T
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        cx = ax + tx * cfg.center_variance * aw
+        cy = ay + ty * cfg.center_variance * ah
+        sw, sh = tw * cfg.size_variance, th * cfg.size_variance
+        w, h = aw * np.exp(sw), ah * np.exp(sh)
+        z = np.exp(-np.abs(logit))
+    score = np.where(logit >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    safe = (np.isfinite(cx) & np.isfinite(cy)
+            & (np.abs(sw) < _EXP_LIMIT) & (np.abs(sh) < _EXP_LIMIT)
+            & (w > _SIZE_MIN) & (w < _SIZE_MAX) & (h > _SIZE_MIN) & (h < _SIZE_MAX))
+    rows = np.flatnonzero(~safe | (score >= score_thresh - _SCORE_MARGIN))
+    boxes = [decode_box(RawPrediction(*record.preds[i]), anchors[i], cfg) for i in rows]
     return nms(boxes, iou_thresh=iou_thresh, score_thresh=score_thresh)
 
 
@@ -386,6 +433,8 @@ def read_confidence_maps(source: Iterable[str] | str | Path) -> Iterator[Confide
                 rows = obj["maps"]
             except (KeyError, *NUMBER_ERRORS) as exc:
                 raise ValidationError(f"expected fields 'h', 'w', 'maps' ({exc})") from exc
+            if height < 1 or width < 1:
+                raise ValidationError(f"h and w must be at least 1, got h={height}, w={width}")
             if not isinstance(rows, list) or len(rows) != NUM_LANDMARKS:
                 raise ValidationError(f"expected {NUM_LANDMARKS} maps")
             try:

@@ -17,6 +17,7 @@ definitions; classification returns the first match, so more specific
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -52,10 +53,12 @@ class FingerStateParams:
     thumb_min_dx: float = 0.04
 
     def __post_init__(self) -> None:
-        if self.thumb_slope_max <= 0:
-            raise ValidationError(f"thumb_slope_max must be positive, got {self.thumb_slope_max}")
-        if self.thumb_min_dx <= 0:
-            raise ValidationError(f"thumb_min_dx must be positive, got {self.thumb_min_dx}")
+        for name in ("thumb_slope_max", "thumb_min_dx"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
 
 
 DEFAULT_FINGER_PARAMS = FingerStateParams()

@@ -124,7 +124,7 @@ def parse_frame(line: str) -> HandFrame:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"malformed JSON: {exc}") from exc
     return frame_from_obj(obj)
 

@@ -166,6 +166,9 @@ BAD_INPUTS = [
      json.dumps({"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21,
                  "region": ["a", 0.5, 0.5, 0.5]}).encode(),
      "error: line 1: region: values must be numbers"),
+    ("maps-negative-size", "keypoints", "maps.jsonl",
+     json.dumps({"h": -1, "w": 2, "maps": [[0, 0, 0, 1]] * 21}).encode(),
+     "error: line 1: h and w must be at least 1, got h=-1, w=2"),
     ("preds-non-numeric", "decode", "preds.jsonl",
      json.dumps({"anchors_cfg": ANCHORS, "preds": [["x", 0, 0, 0, 0]]}).encode(),
      "error: line 1: preds: expected rows of numbers"),
@@ -192,6 +195,9 @@ BAD_INPUTS = [
     ("finger-params-non-numeric", "replay", "config.json",
      b'{"finger_params": {"thumb_slope_max": "steep"}}',
      "error: config: finger_params.thumb_slope_max must be a number, got 'steep'"),
+    ("finger-params-not-finite", "replay", "config.json",
+     b'{"finger_params": {"thumb_slope_max": NaN, "thumb_min_dx": Infinity}}',
+     "error: thumb_slope_max must be finite, got nan"),
     ("controller-non-numeric", "track", "config.json", b'{"controller": {"gain": "fast"}}',
      "error: config: controller.gain must be a number, got 'fast'"),
     ("controller-steps-infinite", "track", "config.json",

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handwave import (
     Anchor,
@@ -23,7 +25,13 @@ from handwave import (
     iou,
     nms,
 )
-from handwave.detect import decode_record, read_confidence_maps, read_predictions
+from handwave import detect
+from handwave.detect import (
+    PredictionRecord,
+    decode_record,
+    read_confidence_maps,
+    read_predictions,
+)
 
 
 def one_layer(grid_w, grid_h, scales=(0.3,), ratios=(1.0,), **kwargs):
@@ -240,6 +248,14 @@ class TestNms:
                 for j in range(i + 1, len(kept)):
                     assert iou(kept[i], kept[j]) <= 0.3 + 1e-12
 
+    def test_matches_vectorized_oracle_on_1000_clustered_boxes(self):
+        from test_acceptance import _oracle_nms
+        boxes = random_box_set(np.random.default_rng(41), 1000)
+        for iou_t, score_t in [(0.3, 0.5), (0.0, 0.0), (0.5, 0.2), (1.0, 0.0), (0.3, 1.0)]:
+            kept = nms(boxes, iou_thresh=iou_t, score_thresh=score_t)
+            want = _oracle_nms(boxes, iou_t, score_t)
+            assert len(kept) == len(want) and all(a is b for a, b in zip(kept, want))
+
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(23)
         for trial in range(40):
@@ -368,7 +384,136 @@ class TestRecordFiles:
         assert records[0].region is None
         assert records[1].region == BBox(0.5, 0.5, 0.4, 0.4, 1.0)
 
+    @pytest.mark.parametrize("h, w", [(-1, 2), (2, -1), (0, 4)])
+    def test_confidence_map_size_below_one_rejected(self, h, w):
+        # reshape would read -1 as "infer this dimension" and accept the line
+        line = json.dumps({"h": h, "w": w, "maps": [[0, 0, 0, 1]] * 21})
+        with pytest.raises(ValidationError, match=f"got h={h}, w={w}"):
+            list(read_confidence_maps([line]))
+
     def test_confidence_map_bad_shape_rejected(self):
         line = json.dumps({"h": 4, "w": 4, "maps": np.zeros((20, 4, 4)).tolist()})
         with pytest.raises(ValidationError):
             list(read_confidence_maps([line]))
+
+
+def scalar_nms(boxes, iou_thresh, score_thresh):
+    """Greedy suppression with the scalar iou, box pair by box pair.
+
+    Unlike reference_nms, which divides 0 by 0 for boxes whose corners
+    coincide (a size far below the center's last bit) and so suppresses
+    them, this follows iou: no overlap is IoU 0.
+    """
+    candidates = sorted((i for i, b in enumerate(boxes) if b.score >= score_thresh),
+                        key=lambda i: (-boxes[i].score, i))
+    alive = [True] * len(candidates)
+    kept = []
+    for k, i in enumerate(candidates):
+        if alive[k]:
+            kept.append(boxes[i])
+            for m in range(k + 1, len(candidates)):
+                if alive[m] and iou(boxes[i], boxes[candidates[m]]) > iou_thresh:
+                    alive[m] = False
+    return kept
+
+
+def scalar_decode_record(record, iou_thresh, score_thresh):
+    """Every row through decode_box, then suppression with the scalar iou."""
+    anchors = generate_anchors(record.anchors_cfg)
+    boxes = [decode_box(RawPrediction(*row), anchor, record.anchors_cfg)
+             for row, anchor in zip(record.preds, anchors)]
+    return scalar_nms(boxes, iou_thresh, score_thresh)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+THRESHOLDS = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def tilings(draw):
+    layers = tuple(
+        LayerSpec(draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                  tuple(draw(st.lists(st.floats(0.05, 0.6) | st.sampled_from([1e-300, 1e-305]),
+                                      min_size=1, max_size=2))),
+                  tuple(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0]), min_size=1,
+                                      max_size=2))))
+        for _ in range(draw(st.integers(1, 2))))
+    return AnchorConfig(layers=layers, center_variance=draw(st.floats(0.05, 1.0)),
+                        size_variance=draw(st.floats(0.05, 1.0)))
+
+
+class TestDecodeRecord:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_scalar_decode(self, data):
+        cfg = data.draw(tilings())
+        # logits whose sigmoid lands on or within a few ulps of the threshold
+        edge = data.draw(st.floats(-40.0, 40.0))
+        iou_t = data.draw(THRESHOLDS)
+        score_t = data.draw(THRESHOLDS | st.just(detect._sigmoid(edge)))
+        logit = (st.floats(-40.0, 40.0)
+                 | st.sampled_from([edge, math.nextafter(edge, -math.inf),
+                                    math.nextafter(edge, math.inf), 36.8, 745.0, -745.0])
+                 | st.floats(edge - 1e-9, edge + 1e-9))
+        offset = st.floats(-5.0, 5.0)
+        # sizes that stay finite and positive, or that may overflow or underflow
+        size = data.draw(st.sampled_from([offset, st.floats(-700.0, 700.0),
+                                          offset | st.floats(-4000.0, 4000.0)]))
+        preds = data.draw(st.lists(st.tuples(logit, offset, offset, size, size),
+                                   min_size=cfg.num_anchors, max_size=cfg.num_anchors))
+        record = PredictionRecord(anchors_cfg=cfg, preds=preds)
+        with np.errstate(over="ignore", invalid="ignore"):  # the scalar path on huge boxes
+            want = _outcome(scalar_decode_record, record, iou_t, score_t)
+        assert _outcome(decode_record, record, iou_t, score_t) == want
+
+    def test_row_at_threshold_kept_where_numpy_rounds_its_score_below(self):
+        logits = np.linspace(-30.0, -1.0, 2001)
+        z = np.exp(logits)
+        below = [x for x, score in zip(logits.tolist(), (z / (1.0 + z)).tolist())
+                 if score < detect._sigmoid(x)]
+        if not below:
+            pytest.skip("numpy's exp matches math.exp on every sampled logit")
+        record = PredictionRecord(one_layer(1, 1), [[below[0], 0.0, 0.0, 0.0, 0.0]])
+        assert len(decode_record(record, score_thresh=detect._sigmoid(below[0]))) == 1
+
+    def test_tiling_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return generate_anchors(cfg)
+
+        monkeypatch.setattr(detect, "generate_anchors", counted)
+        detect._tiling.cache_clear()
+        cfg = one_layer(3, 2, scales=(0.2, 0.4))
+        rng = np.random.default_rng(43)
+        for _ in range(3):  # equal configs built apart share one tiling
+            same = AnchorConfig.from_obj(cfg.to_obj())
+            decode_record(PredictionRecord(same, rng.normal(0, 1, (cfg.num_anchors, 5))))
+        assert calls == [cfg]
+        anchors, geometry = detect._tiling(cfg)
+        assert geometry.tolist() == [[a.cx, a.cy, a.w, a.h] for a in anchors]
+        assert not geometry.flags.writeable
+        with pytest.raises(ValueError):
+            geometry[0, 0] = 0.0
+
+    def test_bad_tiling_raises_every_time(self):
+        cfg = one_layer(1, 1, scales=[0.8], ratios=[4.0])  # w = 1.6
+        record = PredictionRecord(cfg, np.zeros((1, 5)))
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="above 1"):
+                decode_record(record)
+
+    def test_first_failing_row_raises_even_below_threshold(self):
+        cfg = one_layer(2, 1)
+        preds = np.zeros((2, 5))
+        preds[:, 0] = -30.0  # both rows far below the score threshold
+        preds[1, 3] = 1e4
+        with pytest.raises(DecodeError, match="size transform overflowed: tw=10000.0"):
+            decode_record(PredictionRecord(cfg, preds))

@@ -105,6 +105,16 @@ class TestThumbState:
         assert thumb_state(lms) == 0
         assert thumb_state(lms, FingerStateParams(thumb_min_dx=0.01)) == 1
 
+    @pytest.mark.parametrize("field", ["thumb_slope_max", "thumb_min_dx"])
+    @pytest.mark.parametrize("value, message", [
+        (0.0, "must be positive, got 0.0"), (-1.0, "must be positive, got -1.0"),
+        (float("nan"), "must be finite, got nan"), (float("inf"), "must be finite, got inf"),
+        (float("-inf"), "must be finite, got -inf")])
+    def test_params_must_be_positive_and_finite(self, field, value, message):
+        with pytest.raises(ValidationError) as info:
+            FingerStateParams(**{field: value})
+        assert str(info.value) == f"{field} {message}"
+
 
 class TestPostureArray:
     def test_all_open(self):

@@ -77,6 +77,16 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_frame('{"t":0,')
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"t":0,', "malformed JSON: Expecting property name enclosed in double quotes"),
+        ("[" * 100_000, "malformed JSON: maximum recursion depth exceeded"),
+        ("1" * 5000, "malformed JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["syntax", "too-deep", "huge-integer"])
+    def test_unreadable_json_is_parse_error(self, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_frame(line)
+        assert str(info.value).startswith(message)
+
     def test_out_of_range_coordinate_rejected(self):
         obj = json.loads(VALID_LINE)
         obj["hands"][0]["pts"][3] = [0.5, 1.2]
