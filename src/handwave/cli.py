@@ -21,6 +21,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -347,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.01, help="coordinate jitter sigma")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON config (finger_params section)")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score a labelled corpus against a registry")
     p.add_argument("--corpus", required=True)
@@ -356,26 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the report JSON here")
     p.add_argument("--events", action="store_true",
                    help="debounced event-level tally instead of the frame report")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("decode", help="decode raw detector predictions into boxes")
     p.add_argument("--preds", required=True, help="raw prediction JSONL")
     p.add_argument("--iou-thresh", type=float, default=detect.DEFAULT_IOU_THRESH)
     p.add_argument("--score-thresh", type=float, default=detect.DEFAULT_SCORE_THRESH)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("keypoints", help="decode confidence maps into landmark frames")
     p.add_argument("--maps", required=True, help="confidence-map JSONL")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_keypoints)
 
     p = sub.add_parser("replay", help="run the gesture engine over recorded frames")
     p.add_argument("--frames", required=True, help="frame JSONL")
     p.add_argument("--registry")
     p.add_argument("--config")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("track", help="stream centering/device commands for recorded frames")
     p.add_argument("--frames", required=True, help="frame JSONL")
@@ -383,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--registry")
     p.add_argument("--mapping", help="gesture -> device command JSON")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("train", help="fit the palm encoder on a feature dataset")
     p.add_argument("--data", required=True, help="feature dataset JSONL")
@@ -397,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enroll", help="add a subject to an enrollment store")
     p.add_argument("--store", required=True)
@@ -406,32 +400,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="encoder params JSON")
     p.add_argument("--threshold", type=float,
                    help="accept threshold (leave-one-out EER when omitted)")
-    p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("verify", help="verify a probe against an enrolled subject")
     p.add_argument("--store", required=True)
     p.add_argument("--subject", required=True)
     p.add_argument("--probe", required=True, help='JSON {"features": [reals]}')
     p.add_argument("--params", required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("roc", help="sweep accept thresholds over a feature dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--points", action="store_true", help="include the full sweep")
-    p.set_defaults(func=cmd_roc)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Looked up at call time, so that whatever this module binds now runs.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except HandwaveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

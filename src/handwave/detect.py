@@ -405,7 +405,7 @@ def decode_record(record: PredictionRecord,
             & (np.abs(sw) < _EXP_LIMIT) & (np.abs(sh) < _EXP_LIMIT)
             & (w > _SIZE_MIN) & (w < _SIZE_MAX) & (h > _SIZE_MIN) & (h < _SIZE_MAX))
     rows = np.flatnonzero(~safe | (score >= score_thresh - _SCORE_MARGIN))
-    boxes = [decode_box(RawPrediction(*record.preds[i]), anchors[i], cfg) for i in rows]
+    boxes = [decode_box(RawPrediction(*record.preds[i].tolist()), anchors[i], cfg) for i in rows]
     return nms(boxes, iou_thresh=iou_thresh, score_thresh=score_thresh)
 
 

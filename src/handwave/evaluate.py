@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .gestures import DEFAULT_FINGER_PARAMS, FingerStateParams, GestureRegistry, classify, frame_arrays
+from .gestures import DEFAULT_FINGER_PARAMS, FingerStateParams, GestureRegistry, _classify_frame
 from .model import EvalReport, EvalRow, HandFrame
 
 NO_MATCH = "none"
@@ -33,7 +33,7 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     predicted_names: set[str] = set()
     total = 0
     for frame, label in pairs:
-        predicted = classify(frame_arrays(frame, params), registry)
+        predicted = _classify_frame(frame, registry, params)
         predicted = NO_MATCH if predicted is None else predicted
         if label not in confusion:
             labels.append(label)

@@ -26,6 +26,7 @@ from typing import Any, Iterator, Mapping
 from ._jsonio import read_json
 from .errors import StreamOrderError, ValidationError
 from .model import (
+    FINGERS,
     MCP,
     TIP,
     THUMB_MCP,
@@ -43,6 +44,12 @@ from .model import (
 )
 
 _BEND_FINGERS = ("index", "middle", "ring", "pinky")
+# (bit, (tip, MCP)) of each bending finger in a hand code.
+_FINGER_BITS = tuple((1 << (3 - k), (TIP[f], MCP[f])) for k, f in enumerate(_BEND_FINGERS))
+# A compiled registry's table has one row and one column per hand code, plus
+# the last for an absent hand.
+_ABSENT = 32
+_SLOTS = _ABSENT + 1
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,35 @@ class FingerStateParams:
 DEFAULT_FINGER_PARAMS = FingerStateParams()
 
 
+def _hand_code(pts, params: FingerStateParams) -> int:
+    """The five finger bits of 21 (x, y) rows as one integer, thumb as bit 4.
+
+    This is the only place the posture rule is written down.
+    """
+    tip_x, tip_y = pts[THUMB_TIP]
+    mcp_x, mcp_y = pts[THUMB_MCP]
+    dx = tip_x - mcp_x
+    code = 0
+    if abs(dx) >= params.thumb_min_dx and abs((tip_y - mcp_y) / dx) <= params.thumb_slope_max:
+        code = 16
+    for bit, (tip, mcp) in _FINGER_BITS:
+        if pts[tip][1] < pts[mcp][1]:
+            code |= bit
+    return code
+
+
+def _slot(posture: object) -> int:
+    """The table index of a posture: its code, or _ABSENT for anything else.
+
+    Only a PostureArray equals a pattern, so any other value matches as
+    nothing does, like an absent hand.
+    """
+    if type(posture) is not PostureArray:
+        return _ABSENT
+    thumb, index, middle, ring, pinky = posture.states
+    return thumb << 4 | index << 3 | middle << 2 | ring << 1 | pinky
+
+
 def finger_state(lms: LandmarkSet, finger: str) -> int:
     """1 if the finger's tip is strictly above its MCP joint, else 0.
 
@@ -72,9 +108,7 @@ def finger_state(lms: LandmarkSet, finger: str) -> int:
     """
     if finger not in _BEND_FINGERS:
         raise ValueError(f"finger must be one of {_BEND_FINGERS}, got {finger!r}")
-    tip_y = lms.points[TIP[finger], 1]
-    mcp_y = lms.points[MCP[finger], 1]
-    return 1 if tip_y < mcp_y else 0
+    return posture_array(lms)[FINGERS.index(finger)]
 
 
 def thumb_state(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> int:
@@ -83,19 +117,13 @@ def thumb_state(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_PAR
     Open requires |tip.x - mcp.x| >= thumb_min_dx and |dy / dx| <= thumb_slope_max;
     anything else (including a near-vertical thumb) is folded.
     """
-    tip_x, tip_y = lms.points[THUMB_TIP]
-    mcp_x, mcp_y = lms.points[THUMB_MCP]
-    dx = tip_x - mcp_x
-    if abs(dx) < params.thumb_min_dx:
-        return 0
-    slope = (tip_y - mcp_y) / dx
-    return 1 if abs(slope) <= params.thumb_slope_max else 0
+    return posture_array(lms, params)[0]
 
 
 def posture_array(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> PostureArray:
     """The five finger bits for one hand, thumb first."""
-    bits = (thumb_state(lms, params),) + tuple(finger_state(lms, f) for f in _BEND_FINGERS)
-    return PostureArray(bits)
+    code = _hand_code(lms.points.tolist(), params)
+    return PostureArray(tuple((code >> shift) & 1 for shift in (4, 3, 2, 1, 0)))
 
 
 def cursor_point(lms: LandmarkSet) -> Point2:
@@ -111,7 +139,12 @@ def focal_point(lms: LandmarkSet) -> Point2:
 
 
 class GestureRegistry:
-    """An ordered collection of gesture definitions with unique names and patterns."""
+    """An ordered collection of gesture definitions with unique names and patterns.
+
+    Construction compiles the definitions into a table holding the first match
+    for every pair of (right posture or no right hand, left posture or no left
+    hand), so that classifying a frame is one lookup.
+    """
 
     def __init__(self, defs: tuple[GestureDef, ...] | list[GestureDef]):
         defs = tuple(defs)
@@ -126,6 +159,18 @@ class GestureRegistry:
             patterns.add(d.pattern)
         self.defs = defs
         self._by_name = {d.name: d for d in defs}
+        # (right code or _ABSENT) * _SLOTS + (left code or _ABSENT) -> first match.
+        table: list[str | None] = [None] * (_SLOTS * _SLOTS)
+        # Later defs are written first, so earlier ones overwrite them.
+        for d in reversed(defs):
+            if isinstance(d.pattern, DoublePattern):
+                right, left = _slot(d.pattern.right), _slot(d.pattern.left)
+                if _ABSENT not in (right, left):
+                    table[right * _SLOTS + left] = d.name
+            elif (code := _slot(d.pattern)) != _ABSENT:
+                table[code * _SLOTS:(code + 1) * _SLOTS] = [d.name] * _SLOTS
+                table[code::_SLOTS] = [d.name] * _SLOTS
+        self._table = tuple(table)
 
     def __iter__(self) -> Iterator[GestureDef]:
         return iter(self.defs)
@@ -147,20 +192,20 @@ def classify(arrays: Mapping[Handedness, PostureArray], registry: GestureRegistr
     posture; a double-handed definition only when both hands are present and
     each shows its side's posture. With no hands there is no match.
     """
-    if not arrays:
-        return None
-    right = arrays.get(Handedness.RIGHT)
-    left = arrays.get(Handedness.LEFT)
-    for d in registry:
-        pattern = d.pattern
-        if isinstance(pattern, DoublePattern):
-            if right is not None and left is not None \
-                    and right == pattern.right and left == pattern.left:
-                return d.name
+    right = _slot(arrays.get(Handedness.RIGHT))
+    return registry._table[right * _SLOTS + _slot(arrays.get(Handedness.LEFT))]
+
+
+def _classify_frame(frame: HandFrame, registry: GestureRegistry,
+                    params: FingerStateParams) -> str | None:
+    """classify(frame_arrays(frame, params), registry) without the posture objects."""
+    right = left = _ABSENT
+    for hand in frame.hands:
+        if hand.handedness is Handedness.RIGHT:
+            right = _hand_code(hand.points.tolist(), params)
         else:
-            if right == pattern or left == pattern:
-                return d.name
-    return None
+            left = _hand_code(hand.points.tolist(), params)
+    return registry._table[right * _SLOTS + left]
 
 
 def frame_arrays(frame: HandFrame,
@@ -211,7 +256,7 @@ class GestureEngine:
             primary = frame.hands[0]  # canonical order puts the right hand first
             state.last_cursor = cursor_point(primary)
 
-        name = classify(frame_arrays(frame, self.params), self.registry)
+        name = _classify_frame(frame, self.registry, self.params)
         events: list[GestureEvent] = []
 
         if state.active is not None and name != state.active:

@@ -100,11 +100,26 @@ class LandmarkSet:
                 hd = Handedness(hd)
             except ValueError:
                 raise ValidationError(f"handedness: expected 'R' or 'L', got {self.handedness!r}") from None
+        self._freeze(pts, hd, conf)
+
+    def _freeze(self, pts: np.ndarray, hd: Handedness, conf: np.ndarray) -> None:
         pts.setflags(write=False)
         conf.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "confidences", conf)
         object.__setattr__(self, "handedness", hd)
+
+    @classmethod
+    def _checked(cls, pts: np.ndarray, hd: Handedness, conf: np.ndarray) -> "LandmarkSet":
+        """Wrap arrays the caller has already checked as ``__post_init__`` would.
+
+        ``pts`` must be a finite (21, 2) float64 array and ``conf`` a (21,)
+        float64 array in [0, 1], neither held by any other code; both are
+        frozen here.
+        """
+        self = object.__new__(cls)
+        self._freeze(pts, hd, conf)
+        return self
 
     def point(self, index: int) -> Point2:
         x, y = self.points[index]

@@ -16,8 +16,11 @@ holding the ground-truth gesture name ("none" when absent).
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from ._jsonio import at_line, json_lines
 from .errors import ParseError, StreamOrderError, ValidationError
@@ -25,6 +28,10 @@ from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
 _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
+_SIDES = {"R": Handedness.RIGHT, "L": Handedness.LEFT}
+_NUMBER_TYPES = frozenset((float, int))
+# The reductions themselves: ndarray.min/max add a Python-level call each.
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _number(value: Any, path: str) -> float:
@@ -78,8 +85,48 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
     return LandmarkSet(points=points, handedness=Handedness(obj["hd"]), confidences=conf)
 
 
+def _hand_from_array(obj: Any) -> LandmarkSet | None:
+    """The hand ``obj`` describes, checked in bulk, or None when any check fails.
+
+    It accepts only what ``_hand_from_obj`` accepts and builds an equal hand,
+    so a None sends the caller to that walker, which names the bad field. The
+    exact type test keeps bools and strings out: numpy alone reads True as 1.0
+    and "0.5" as 0.5.
+    """
+    if type(obj) is not dict or not obj.keys() <= _HAND_KEYS:
+        return None
+    hd, pts = obj.get("hd"), obj.get("pts")
+    side = _SIDES.get(hd) if type(hd) is str else None
+    if side is None or type(pts) is not list or len(pts) != NUM_LANDMARKS \
+            or set(map(type, pts)) != {list} or set(map(len, pts)) != {2}:
+        return None
+    values = [*chain.from_iterable(pts)]
+    has_conf = "conf" in obj
+    if has_conf:
+        conf = obj["conf"]
+        if type(conf) is not list or len(conf) != NUM_LANDMARKS:
+            return None
+        values += conf
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not (_min(arr) >= 0.0 and _max(arr) <= 1.0):  # NaN fails both
+        return None
+    arr.setflags(write=False)  # the hand's arrays are views of it
+    n = 2 * NUM_LANDMARKS
+    confidences = arr[n:] if has_conf else np.ones(NUM_LANDMARKS)
+    return LandmarkSet._checked(arr[:n].reshape(NUM_LANDMARKS, 2), side, confidences)
+
+
 def frame_from_obj(obj: Any) -> HandFrame:
-    """Build a HandFrame from a decoded JSON object, rejecting schema deviations."""
+    """Build a HandFrame from a decoded JSON object, rejecting schema deviations.
+
+    Each hand is checked in bulk first; only a hand that fails there is walked
+    field by field, so that the error names the field at fault.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"frame: expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -97,7 +144,8 @@ def frame_from_obj(obj: Any) -> HandFrame:
         raise ValidationError("hands: expected a list")
     if len(hands_obj) > 2:
         raise ValidationError(f"hands: at most 2 hands per frame, got {len(hands_obj)}")
-    hands = tuple(_hand_from_obj(h, f"hands[{i}]") for i, h in enumerate(hands_obj))
+    hands = [_hand_from_array(h) or _hand_from_obj(h, f"hands[{i}]")
+             for i, h in enumerate(hands_obj)]
     return HandFrame(t_ms=t, hands=hands)
 
 

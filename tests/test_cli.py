@@ -20,6 +20,7 @@ from handwave import (
     synth_corpus,
     write_frames,
 )
+from handwave import cli
 from handwave.cli import main
 
 
@@ -253,6 +254,27 @@ class TestErrorPaths:
                                "--uri", "carrier-pigeon:coop")
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestParser:
+    ARGV = ["eval", "--corpus", "c.jsonl", "--events"]
+
+    def test_one_parser_unchanged_by_a_usage_error(self, capsys):
+        parser = cli._parser()
+        assert cli._parser() is parser
+        first = parser.parse_args(self.ARGV)
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(["eval", "--bogus"])
+        assert info.value.code == 2
+        assert parser.parse_args(self.ARGV) == first
+        assert main(["eval"]) == 2
+        assert parser.parse_args(self.ARGV) == first
+
+    def test_command_looked_up_when_called(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.corpus) or 0)
+        assert main(self.ARGV) == 0
+        assert seen == ["c.jsonl"]
 
 
 class TestModuleEntry:

@@ -1,5 +1,6 @@
 """Anchor tiling, box decode, IoU/NMS, and confidence-map peak decoding."""
 
+import dataclasses
 import json
 import math
 
@@ -55,7 +56,8 @@ def iou_matrix(arr):
     inter = np.clip(x2 - x1, 0.0, None) * np.clip(y2 - y1, 0.0, None)
     areas = (corners[:, 2] - corners[:, 0]) * (corners[:, 3] - corners[:, 1])
     union = areas[:, None] + areas[None, :] - inter
-    return inter / union
+    # No overlap is IoU 0, also for boxes of zero area whose union is 0.
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
 
 
 def reference_nms(boxes, iou_thresh, score_thresh):
@@ -266,6 +268,18 @@ class TestNms:
             assert nms(boxes, iou_thresh=iou_t, score_thresh=score_t) == \
                 reference_nms(boxes, iou_t, score_t)
 
+    def test_boxes_with_coinciding_corners_are_kept(self):
+        # Two anchors share a centre; th = -3750 shrinks both heights far
+        # below the centre's last bit, so every box has zero area.
+        cfg = AnchorConfig(layers=(LayerSpec(1, 1, (0.3,), (1.0, 2.0)),), size_variance=0.1875)
+        record = PredictionRecord(anchors_cfg=cfg, preds=[[4.0, 0.0, 0.0, 0.0, -3750.0],
+                                                          [3.0, 0.0, 0.0, 0.0, -3750.0]])
+        boxes = decode_record(record, iou_thresh=0.0, score_thresh=0.5)
+        assert len(boxes) == 2
+        assert all(b.cy - b.h / 2 == b.cy + b.h / 2 for b in boxes)
+        assert reference_nms(boxes, 0.0, 0.5) == boxes
+        assert scalar_decode_record(record, 0.0, 0.5) == boxes
+
 
 class TestDecodeKeypoints:
     @staticmethod
@@ -369,6 +383,7 @@ class TestRecordFiles:
         anchors = generate_anchors(cfg)
         assert len(boxes) == 1
         assert (boxes[0].cx, boxes[0].cy) == (anchors[1].cx, anchors[1].cy)
+        assert all(type(v) is float for v in dataclasses.astuple(boxes[0]))
 
     def test_prediction_count_mismatch_rejected(self):
         cfg = one_layer(2, 2)
@@ -400,9 +415,8 @@ class TestRecordFiles:
 def scalar_nms(boxes, iou_thresh, score_thresh):
     """Greedy suppression with the scalar iou, box pair by box pair.
 
-    Unlike reference_nms, which divides 0 by 0 for boxes whose corners
-    coincide (a size far below the center's last bit) and so suppresses
-    them, this follows iou: no overlap is IoU 0.
+    Like iou, and reference_nms, it takes no overlap as IoU 0, also for
+    boxes whose corners coincide (a size far below the center's last bit).
     """
     candidates = sorted((i for i, b in enumerate(boxes) if b.score >= score_thresh),
                         key=lambda i: (-boxes[i].score, i))

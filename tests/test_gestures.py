@@ -1,9 +1,14 @@
 """Finger rules, posture arrays, registry classification, and debounced events."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handwave import (
+    DEFAULT_FINGER_PARAMS,
     DoublePattern,
     FingerStateParams,
     GestureDef,
@@ -27,7 +32,8 @@ from handwave import (
     save_registry,
     thumb_state,
 )
-from handwave.model import INDEX_MCP, INDEX_TIP, MIDDLE_MCP, THUMB_MCP, THUMB_TIP
+from handwave.gestures import _classify_frame
+from handwave.model import INDEX_MCP, INDEX_TIP, MCP, MIDDLE_MCP, THUMB_MCP, THUMB_TIP, TIP
 from handwave.synth import hand_template
 
 
@@ -322,3 +328,117 @@ class TestEngine:
         arrays = frame_arrays(HandFrame(t_ms=0, hands=(right, left)))
         assert arrays[Handedness.RIGHT] == ONE
         assert arrays[Handedness.LEFT] == FIVE
+
+
+# --- the hand code and the compiled table against the scalar rules ------------
+
+def scalar_posture(lms, params):
+    """The posture rule as separate per-finger tests on numpy scalars."""
+    pts = lms.points
+    dx = pts[THUMB_TIP, 0] - pts[THUMB_MCP, 0]
+    if abs(dx) < params.thumb_min_dx:
+        thumb = 0
+    else:
+        thumb = 1 if abs((pts[THUMB_TIP, 1] - pts[THUMB_MCP, 1]) / dx) <= params.thumb_slope_max else 0
+    fingers = tuple(1 if pts[TIP[f], 1] < pts[MCP[f], 1] else 0
+                    for f in ("index", "middle", "ring", "pinky"))
+    return PostureArray((thumb,) + fingers)
+
+
+def first_match(arrays, registry):
+    """The first definition the present hands satisfy, by a loop over the registry."""
+    if not arrays:
+        return None
+    right, left = arrays.get(Handedness.RIGHT), arrays.get(Handedness.LEFT)
+    for d in registry:
+        if isinstance(d.pattern, DoublePattern):
+            if right is not None and left is not None \
+                    and right == d.pattern.right and left == d.pattern.left:
+                return d.name
+        elif right == d.pattern or left == d.pattern:
+            return d.name
+    return None
+
+
+ALL_POSTURES = [PostureArray(tuple(int(b) for b in f"{code:05b}")) for code in range(32)]
+ALL_PAIRS = [{side: p for side, p in ((Handedness.RIGHT, right), (Handedness.LEFT, left))
+              if p is not None}
+             for right in ALL_POSTURES + [None] for left in ALL_POSTURES + [None]]
+
+posture_st = st.sampled_from(ALL_POSTURES)
+pattern_st = posture_st | st.builds(DoublePattern, right=posture_st, left=posture_st)
+
+
+@st.composite
+def registries(draw):
+    patterns = draw(st.lists(pattern_st, max_size=24, unique=True))
+    return GestureRegistry([GestureDef(f"g{i}", p) for i, p in enumerate(patterns)])
+
+
+extreme = st.sampled_from([0.0, -0.0, 1.0, 1e308, -1e308, 5e-324, -5e-324, 0.5, 0.54])
+coordinate = extreme | st.floats(-1e308, 1e308) | st.floats(0.0, 1.0)
+params_st = st.builds(FingerStateParams,
+                      thumb_slope_max=st.floats(1e-300, 1e308) | st.sampled_from([1.0, 5e-324]),
+                      thumb_min_dx=st.floats(1e-300, 1e308) | st.sampled_from([0.04, 5e-324]))
+
+
+@st.composite
+def odd_hands(draw, handedness="R"):
+    pts = np.array(draw(st.lists(st.tuples(coordinate, coordinate), min_size=21, max_size=21)))
+    for tip, base in draw(st.lists(st.sampled_from([(4, 2), (8, 5), (12, 9), (16, 13), (20, 17),
+                                                    (4, 8)]), max_size=3)):
+        pts[tip] = pts[base]  # coinciding joints
+    return LandmarkSet(points=pts, handedness=handedness)
+
+
+class TestCompiledRules:
+    def test_stock_table_matches_first_match_on_every_code_pair(self):
+        reg = default_registry()
+        assert len(ALL_PAIRS) == 33 * 33
+        for arrays in ALL_PAIRS:
+            assert classify(arrays, reg) == first_match(arrays, reg)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(reg=registries())
+    def test_random_tables_match_first_match_on_every_code_pair(self, reg):
+        for arrays in ALL_PAIRS:
+            assert classify(arrays, reg) == first_match(arrays, reg)
+
+    def test_values_that_are_no_posture_match_as_absent_hands(self):
+        reg = small_registry()
+        for arrays in ({Handedness.RIGHT: (0, 1, 0, 0, 0)},
+                       {Handedness.RIGHT: (1, 1, 1, 1, 1), Handedness.LEFT: FIVE},
+                       {"R": ONE}):
+            assert classify(arrays, reg) == first_match(arrays, reg)
+        loose = GestureRegistry([GestureDef("Loose", DoublePattern(right=(1, 1, 1, 1, 1), left=FIVE)),
+                                 GestureDef("Five", FIVE)])
+        both = {Handedness.RIGHT: FIVE, Handedness.LEFT: FIVE}
+        assert classify(both, loose) == first_match(both, loose) == "Five"
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(lms=odd_hands(), params=params_st, data=st.data())
+    def test_hand_code_matches_the_scalar_rules(self, lms, params, data):
+        dx = float(lms.points[THUMB_TIP, 0] - lms.points[THUMB_MCP, 0])
+        if 0.0 < abs(dx) < math.inf and data.draw(st.booleans()):
+            # the thumb exactly at the width limit, and its slope exactly at the slope limit
+            slope = abs(float(lms.points[THUMB_TIP, 1] - lms.points[THUMB_MCP, 1]) / dx)
+            params = FingerStateParams(
+                thumb_min_dx=abs(dx),
+                thumb_slope_max=slope if 0.0 < slope < math.inf else params.thumb_slope_max)
+        with np.errstate(all="ignore"):
+            want = scalar_posture(lms, params)
+        assert posture_array(lms, params) == want
+        assert thumb_state(lms, params) == want[0]
+        with np.errstate(all="ignore"):
+            assert [finger_state(lms, f) for f in ("index", "middle", "ring", "pinky")] == \
+                list(scalar_posture(lms, DEFAULT_FINGER_PARAMS))[1:]
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(right=odd_hands("R") | st.none(), left=odd_hands("L") | st.none(),
+           params=params_st, reg=registries())
+    def test_frame_classification_matches_posture_objects(self, right, left, params, reg):
+        frame = HandFrame(t_ms=0, hands=tuple(h for h in (right, left) if h is not None))
+        with np.errstate(all="ignore"):
+            arrays = {h.handedness: scalar_posture(h, params) for h in frame.hands}
+        assert frame_arrays(frame, params) == arrays
+        assert _classify_frame(frame, reg, params) == first_match(arrays, reg)

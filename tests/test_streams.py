@@ -1,6 +1,7 @@
 """Frame JSONL: parse/serialize round trips, strict schema rejection, stream order."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from handwave import (
     write_frames,
     write_labelled,
 )
+from handwave import streams
 
 VALID_LINE = json.dumps({
     "t": 40,
@@ -188,3 +190,123 @@ class TestStreams:
     def test_labelled_defaults_to_none(self):
         pairs = list(read_labelled(['{"t":0,"hands":[]}']))
         assert pairs == [(HandFrame(t_ms=0), "none")]
+
+
+# --- the bulk hand check against the field-by-field walker -------------------
+
+def walked(obj):
+    """frame_from_obj with every hand sent through the walker."""
+    with mock.patch.object(streams, "_hand_from_array", lambda hand: None):
+        return frame_from_obj(obj)
+
+
+def outcome(fn, *args):
+    """A frame as its exact array bytes, or an exception as (class, message)."""
+    try:
+        frame = fn(*args)
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+    return frame.t_ms, [(h.handedness, h.points.dtype, h.points.shape, h.points.tobytes(),
+                         h.confidences.dtype, h.confidences.tobytes(),
+                         h.points.flags.writeable, h.confidences.flags.writeable)
+                        for h in frame.hands]
+
+
+edge_unit = st.sampled_from([0, 1, 0.0, 1.0, -0.0, 5e-324]) | unit
+
+
+@st.composite
+def frame_objs(draw):
+    sides = draw(st.sampled_from([[], ["R"], ["L"], ["R", "L"], ["L", "R"]]))
+    hands = []
+    for side in sides:
+        pairs = draw(st.lists(st.lists(edge_unit, min_size=2, max_size=2), min_size=21, max_size=21))
+        hand = {"hd": side, "pts": pairs}
+        if draw(st.booleans()):
+            hand["conf"] = draw(st.lists(edge_unit, min_size=21, max_size=21))
+        hands.append(hand)
+    return {"t": draw(st.integers(min_value=0, max_value=10**9)), "hands": hands}
+
+
+class TestBulkHandCheck:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(obj=frame_objs())
+    def test_valid_frames_equal_the_walkers(self, obj):
+        assert all(streams._hand_from_array(hand) is not None for hand in obj["hands"])
+        want = outcome(walked, obj)
+        assert outcome(frame_from_obj, obj) == want
+        assert outcome(parse_frame, json.dumps(obj)) == want
+
+    @staticmethod
+    def two_hands():
+        obj = json.loads(VALID_LINE)
+        left = json.loads(json.dumps(obj["hands"][0]))
+        left["hd"] = "L"
+        del left["conf"]
+        obj["hands"].append(left)
+        return obj
+
+    @pytest.mark.parametrize("hand, mutate", [
+        (0, lambda h: h["pts"][0].__setitem__(0, True)),
+        (1, lambda h: h["pts"][3].__setitem__(1, "0.5")),
+        (0, lambda h: h["conf"].__setitem__(2, float("nan"))),
+        (1, lambda h: h["pts"][5].__setitem__(0, float("nan"))),
+        (0, lambda h: h["pts"][5].__setitem__(0, float("inf"))),
+        (0, lambda h: h["conf"].__setitem__(7, float("-inf"))),
+        (1, lambda h: h["pts"][1].__setitem__(1, 10**400)),
+        (0, lambda h: h["conf"].__setitem__(0, 1.0000001)),
+        (0, lambda h: h["pts"][20].__setitem__(1, -1e-300)),
+        (0, lambda h: h["pts"].pop()),
+        (1, lambda h: h["pts"].append([0.5, 0.5])),
+        (0, lambda h: h["pts"].__setitem__(4, [0.5, 0.5, 0.5])),
+        (0, lambda h: h["pts"].__setitem__(4, [])),
+        (0, lambda h: h["pts"].__setitem__(4, 0.5)),
+        (0, lambda h: h.__setitem__("pts", {})),
+        (0, lambda h: h.__setitem__("x", 1)),
+        (0, lambda h: h.__setitem__("hd", "Q")),
+        (1, lambda h: h.__setitem__("hd", ["L"])),
+        (0, lambda h: h.pop("hd")),
+        (0, lambda h: h.pop("pts")),
+        (0, lambda h: h.__setitem__("conf", [0.5] * 20)),
+        (1, lambda h: h.__setitem__("conf", "0.5")),
+        (0, lambda h: h["conf"].__setitem__(3, None)),
+        (0, lambda h: h["conf"].__setitem__(3, [0.5])),
+    ], ids=["true", "string", "nan-conf", "nan-pt", "infinity", "minus-infinity",
+            "400-digit-int", "above-one", "below-zero", "20-points", "22-points",
+            "3-element-pair", "empty-pair", "number-pair", "pts-object",
+            "extra-key", "bad-hd", "list-hd", "no-hd", "no-pts", "20-conf",
+            "string-conf", "null-conf", "list-in-conf"])
+    def test_bad_hand_fails_as_the_walker_fails(self, hand, mutate):
+        obj = self.two_hands()
+        mutate(obj["hands"][hand])
+        assert streams._hand_from_array(obj["hands"][hand]) is None
+        with pytest.raises(ValidationError) as info:
+            streams._hand_from_obj(obj["hands"][hand], f"hands[{hand}]")
+        want = (ValidationError, str(info.value))
+        assert outcome(frame_from_obj, obj) == want
+        assert outcome(parse_frame, json.dumps(obj)) == want
+
+    @pytest.mark.parametrize("mutate", [
+        lambda o: o["hands"][1].__setitem__("hd", "R"),
+        lambda o: o["hands"].append(o["hands"][0]),
+    ], ids=["duplicate-hands", "three-hands"])
+    def test_bad_frame_fails_as_the_walker_fails(self, mutate):
+        obj = self.two_hands()
+        mutate(obj)
+        want = outcome(walked, obj)
+        assert want[0] is ValidationError
+        assert outcome(frame_from_obj, obj) == want
+
+    @pytest.mark.parametrize("mutate", [
+        lambda h: h["pts"][2].__setitem__(0, np.float64(0.25)),
+        lambda h: h["conf"].__setitem__(2, np.float32(0.5)),
+        lambda h: h["pts"][2].__setitem__(1, np.int64(1)),
+        lambda h: h["pts"].__setitem__(4, (0.5, 0.5)),
+        lambda h: h.__setitem__("pts", tuple(h["pts"])),
+        lambda h: h.__setitem__("conf", np.full(21, 0.5)),
+    ], ids=["float64", "float32", "int64", "tuple-pair", "tuple-pts", "array-conf"])
+    def test_python_values_give_the_walkers_outcome(self, mutate):
+        obj = self.two_hands()
+        mutate(obj["hands"][0])
+        assert streams._hand_from_array(obj["hands"][0]) is None
+        assert outcome(frame_from_obj, obj) == outcome(walked, obj)
