@@ -96,7 +96,9 @@ def _slot(posture: object) -> int:
     """
     if type(posture) is not PostureArray:
         return _ABSENT
-    thumb, index, middle, ring, pinky = posture.states
+    # A state is any value equal to 0 or 1 (a registry file may hold 1.0), so
+    # it is compared, not shifted.
+    thumb, index, middle, ring, pinky = (bit == 1 for bit in posture.states)
     return thumb << 4 | index << 3 | middle << 2 | ring << 1 | pinky
 
 

@@ -30,8 +30,6 @@ _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
 _SIDES = {"R": Handedness.RIGHT, "L": Handedness.LEFT}
 _NUMBER_TYPES = frozenset((float, int))
-# The reductions themselves: ndarray.min/max add a Python-level call each.
-_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _number(value: Any, path: str) -> float:
@@ -113,7 +111,7 @@ def _hand_from_array(obj: Any) -> LandmarkSet | None:
         arr = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         return None
-    if not (_min(arr) >= 0.0 and _max(arr) <= 1.0):  # NaN fails both
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         return None
     arr.setflags(write=False)  # the hand's arrays are views of it
     n = 2 * NUM_LANDMARKS

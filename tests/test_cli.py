@@ -13,10 +13,12 @@ from handwave import (
     LayerSpec,
     PostureArray,
     SynthSpec,
+    default_registry,
     hand_template,
     init_encoder,
     save_features,
     save_params,
+    save_registry,
     synth_corpus,
     write_frames,
 )
@@ -162,6 +164,48 @@ class TestReplayTrack:
         assert code == 0
         assert first_json(out)["device_commands"] == 1
         assert b"D tv POWER\n" in port.read_bytes()
+
+
+class TestFloatRegistryBits:
+    """A registry file may spell its posture bits 1.0 and 0.0; they match as 1 and 0."""
+
+    @staticmethod
+    def float_registry(tmp_path):
+        data = json.loads((tmp_path / "int.json").read_text())
+        for entry in data:
+            pattern = entry["pattern"]
+            for bits in ([pattern["single"]] if "single" in pattern
+                         else [pattern["double"]["R"], pattern["double"]["L"]]):
+                bits[:] = [float(b) if b else -0.0 for b in bits]
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps(data))
+        assert "1.0" in path.read_text() and "-0.0" in path.read_text()
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "replay", "track"])
+    def test_float_bits_give_the_int_registry_output(self, capsys, tmp_path, command):
+        registry = default_registry()
+        save_registry(tmp_path / "int.json", registry)
+        float_path = self.float_registry(tmp_path)
+        if command == "eval":
+            data = tmp_path / "corpus.jsonl"
+            run_cli(capsys, "synth", "--out", str(data), "--frames", "8", "--seed", "3")
+            argv = ["eval", "--corpus", str(data)]
+        else:
+            data = tmp_path / "frames.jsonl"
+            spec = SynthSpec.from_registry(registry, frames_per_gesture=8, seed=3)
+            write_frames(data, (frame for frame, _ in synth_corpus(spec)))
+            argv = [command, "--frames", str(data)]
+        outs = []
+        for name in ("int.json", "float.json"):
+            extra = ["--uri", f"serial:{tmp_path / name}.port"] if command == "track" else []
+            code, out, err = run_cli(capsys, *argv, *extra, "--registry", str(tmp_path / name))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0].strip()
+        if command == "track":
+            assert (tmp_path / "int.json.port").read_bytes() == \
+                (tmp_path / "float.json.port").read_bytes()
 
 
 class TestPalmCommands:

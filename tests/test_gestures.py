@@ -1,5 +1,6 @@
 """Finger rules, posture arrays, registry classification, and debounced events."""
 
+import json
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ from handwave import (
     save_registry,
     thumb_state,
 )
-from handwave.gestures import _classify_frame
+from handwave.gestures import _classify_frame, registry_to_obj
 from handwave.model import INDEX_MCP, INDEX_TIP, MCP, MIDDLE_MCP, THUMB_MCP, THUMB_TIP, TIP
 from handwave.synth import hand_template
 
@@ -414,6 +415,25 @@ class TestCompiledRules:
                                  GestureDef("Five", FIVE)])
         both = {Handedness.RIGHT: FIVE, Handedness.LEFT: FIVE}
         assert classify(both, loose) == first_match(both, loose) == "Five"
+
+    def test_float_bits_match_as_ints(self, tmp_path):
+        """Posture states may be 1.0, 0.0 or -0.0 (as a registry file can spell them)."""
+        ints = default_registry()
+        data = registry_to_obj(ints)
+        for entry in data:
+            pattern = entry["pattern"]
+            for bits in ([pattern["single"]] if "single" in pattern
+                         else [pattern["double"]["R"], pattern["double"]["L"]]):
+                bits[:] = [float(b) if b else (-0.0, 0.0)[i % 2] for i, b in enumerate(bits)]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(data))
+        floats = load_registry(path)
+        assert any(type(b) is float for d in floats if not isinstance(d.pattern, DoublePattern)
+                   for b in d.pattern)
+        for arrays in ALL_PAIRS:
+            assert classify(arrays, floats) == first_match(arrays, floats) == classify(arrays, ints)
+            as_floats = {h: PostureArray(tuple(float(b) for b in p)) for h, p in arrays.items()}
+            assert classify(as_floats, ints) == classify(arrays, ints)
 
     @settings(derandomize=True, max_examples=250, deadline=None, database=None)
     @given(lms=odd_hands(), params=params_st, data=st.data())
