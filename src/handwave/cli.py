@@ -21,6 +21,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -85,7 +86,8 @@ def _registry(path: str | None) -> gestures.GestureRegistry:
 
 
 def _out_stream(path: str | None):
-    return open(path, "w", encoding="ascii") if path else sys.stdout
+    """The output file, opened now and closed on exit, or stdout, left open."""
+    return open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout)
 
 
 def cmd_synth(args) -> int:
@@ -102,9 +104,7 @@ def cmd_synth(args) -> int:
         _emit({"frames": count, "gestures": len(spec.gestures), "path": args.out})
     else:
         for frame, label in pairs:
-            obj = streams.frame_to_obj(frame)
-            obj["label"] = label
-            sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            sys.stdout.write(streams.labelled_line(frame, label) + "\n")
     return 0
 
 
@@ -126,39 +126,30 @@ def cmd_eval(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         for record in detect.read_predictions(args.preds):
             boxes = detect.decode_record(
                 record, iou_thresh=args.iou_thresh, score_thresh=args.score_thresh)
             obj = {"boxes": [[b.cx, b.cy, b.w, b.h, b.score] for b in boxes]}
             out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_keypoints(args) -> int:
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         for i, record in enumerate(detect.read_confidence_maps(args.maps)):
             region = record.region if record.region is not None else detect.FULL_IMAGE
             lms = detect.decode_keypoints(record.maps, region, Handedness.RIGHT)
             frame = HandFrame(t_ms=i * 40, hands=(lms,))
             streams.validate_frame(frame)
             out.write(streams.serialize_frame(frame) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_replay(args) -> int:
     registry = _registry(args.registry)
     engine = gestures.GestureEngine(registry, _finger_params(_load_config(args.config)))
-    out = _out_stream(args.out)
-    try:
+    with _out_stream(args.out) as out:
         for event in engine.run(streams.read_frames(args.frames)):
             obj = {
                 "name": event.name,
@@ -167,9 +158,6 @@ def cmd_replay(args) -> int:
                 "cursor": [event.cursor.x, event.cursor.y] if event.cursor else None,
             }
             out.write(json.dumps(obj, separators=(",", ":")) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -238,24 +226,23 @@ def cmd_train(args) -> int:
 
 
 def _calibrate_threshold(subject: str, features, params) -> float:
-    """Leave-one-out EER threshold for a subject against the rest of the dataset."""
-    if subject not in features:
-        raise DataError(f"subject {subject!r} not present in the dataset")
+    """Leave-one-out EER threshold for a subject against the rest of the dataset.
+
+    A genuine distance is a sample's nearest other sample of the subject; an
+    impostor distance is another subject's sample's nearest sample of it.
+    """
     if len(features) < 2:
         raise DataError("threshold calibration needs at least one other subject")
+    if len(features[subject]) < 2:
+        raise DataError(
+            f"threshold calibration needs at least two samples of subject {subject!r}")
+    distances = palmauth.pairwise_distances
     own = palmauth.encoder_forward(params, features[subject])
-    genuine = []
-    for i in range(own.shape[0]):
-        rest = np.delete(own, i, axis=0)
-        genuine.append(float(np.sqrt(np.sum((rest - own[i]) ** 2, axis=1)).min()))
-    impostor = []
-    for other, rows in features.items():
-        if other == subject:
-            continue
-        embedded = palmauth.encoder_forward(params, rows)
-        for row in embedded:
-            impostor.append(float(np.sqrt(np.sum((own - row) ** 2, axis=1)).min()))
-    return palmauth.roc_sweep(genuine, impostor).eer_threshold
+    within = distances(own, own)
+    np.fill_diagonal(within, np.inf)
+    impostor = [distances(palmauth.encoder_forward(params, rows), own).min(axis=1)
+                for other, rows in features.items() if other != subject]
+    return palmauth.roc_sweep(within.min(axis=1), np.concatenate(impostor)).eer_threshold
 
 
 def cmd_enroll(args) -> int:
@@ -306,19 +293,14 @@ def cmd_verify(args) -> int:
 def cmd_roc(args) -> int:
     features = palmauth.load_features(args.data)
     params = palmauth.load_params(args.params)
-    subjects = sorted(features)
-    embedded = {s: palmauth.encoder_forward(params, features[s]) for s in subjects}
-    genuine = []
-    impostor = []
-    for i, s in enumerate(subjects):
-        rows = embedded[s]
-        for a in range(rows.shape[0]):
-            for b in range(a + 1, rows.shape[0]):
-                genuine.append(palmauth.euclidean_distance(rows[a], rows[b]))
-        for t in subjects[i + 1:]:
-            for a in embedded[s]:
-                for b in embedded[t]:
-                    impostor.append(palmauth.euclidean_distance(a, b))
+    distances = palmauth.pairwise_distances
+    embedded = [palmauth.encoder_forward(params, features[s]) for s in sorted(features)]
+    # Every pair of samples once. The empty heads leave a dataset without
+    # pairs of one kind for roc_sweep to reject, where numpy would raise.
+    genuine = np.concatenate([[], *(distances(e, e)[np.triu_indices(len(e), 1)]
+                                    for e in embedded)])
+    impostor = np.concatenate([[], *(distances(e, f).ravel()
+                                     for i, e in enumerate(embedded) for f in embedded[i + 1:])])
     sweep = palmauth.roc_sweep(genuine, impostor)
     result = {
         "eer_threshold": sweep.eer_threshold,

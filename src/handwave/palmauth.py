@@ -54,6 +54,15 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L2 distances between the rows of ``a`` (N, D) and ``b`` (M, D), as (N, M).
+
+    Entry [i, j] equals ``euclidean_distance(a[i], b[j])`` bit for bit; the
+    expanded ||a||^2 + ||b||^2 - 2 a.b would round differently.
+    """
+    return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+
+
 def _as_batch(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -451,7 +460,7 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     if record.anchors.shape[1] != embedded.shape[0]:
         raise DimensionError(
             f"probe embedding dimension {embedded.shape[0]} != enrolled {record.anchors.shape[1]}")
-    distance = float(np.sqrt(np.sum((record.anchors - embedded) ** 2, axis=1)).min())
+    distance = float(pairwise_distances(record.anchors, embedded[None, :]).min())
     return AuthDecision(accepted=distance <= record.threshold,
                         distance=distance, subject_id=record.subject_id)
 

@@ -246,14 +246,19 @@ def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFram
         yield frame, label
 
 
+def labelled_line(frame: HandFrame, label: str) -> str:
+    """One validated labelled corpus line (no trailing newline)."""
+    validate_frame(frame)
+    obj = frame_to_obj(frame)
+    obj["label"] = label
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def write_labelled(path: str | Path, pairs: Iterable[tuple[HandFrame, str]]) -> int:
     """Write (frame, label) pairs as labelled corpus JSONL; returns the line count."""
     count = 0
     with open(path, "w", encoding="ascii") as fh:
         for frame, label in pairs:
-            validate_frame(frame)
-            obj = frame_to_obj(frame)
-            obj["label"] = label
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            fh.write(labelled_line(frame, label) + "\n")
             count += 1
     return count

@@ -139,6 +139,15 @@ def _store_record(record):
     return json.dumps({**STORE, "records": [record]}).encode()
 
 
+def _features(*subjects):
+    """Feature dataset lines, one per subject name, each with 4 features."""
+    return "".join(json.dumps({"subject": s, "features": [0.1, 0.2, 0.3, float(i)]}) + "\n"
+                   for i, s in enumerate(subjects)).encode()
+
+
+NO_PAIRS = "error: roc_sweep: need non-empty genuine and impostor distance vectors"
+
+
 # (id, command, file replaced, its bytes, a fragment the error message holds)
 BAD_INPUTS = [
     ("frames-non-ascii", "replay", "frames.jsonl", b'{"t": 0, "hands": []}\xc3\n',
@@ -190,6 +199,8 @@ BAD_INPUTS = [
      "error: store: records[0]: missing or bad field"),
     ("store-dim-infinite", "verify", "store.json", _with(STORE, dim=float("inf")),
      "error: store: missing or bad field"),
+    ("roc-one-subject", "roc", "data.jsonl", _features("s0", "s0", "s0"), NO_PAIRS),
+    ("roc-one-sample-each", "roc", "data.jsonl", _features("s0", "s1", "s2"), NO_PAIRS),
     ("probe-non-numeric", "verify", "probe.json", b'{"features": ["a", 1, 2, 3]}',
      "error: probe: features must be numbers"),
     ("finger-params-non-numeric", "replay", "config.json",
@@ -218,6 +229,19 @@ def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
     assert code == 1
     assert err.startswith(message), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subjects, message", [
+    (("s0", "s1", "s1"), "threshold calibration needs at least two samples of subject 's0'"),
+    (("s0",), "threshold calibration needs at least one other subject"),
+], ids=["one-sample", "one-subject"])
+def test_enroll_calibration_needs_pairs(inputs, tmp_path, subjects, message):
+    data, store = tmp_path / "data.jsonl", tmp_path / "store.json"
+    data.write_bytes(_features(*subjects))
+    code, out, err = run_main("enroll", "--store", store, "--subject", "s0",
+                              "--data", data, "--params", inputs / "params.json")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not store.exists()
 
 
 @pytest.mark.parametrize("reader, text, error, message", [

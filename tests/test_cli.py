@@ -14,8 +14,13 @@ from handwave import (
     PostureArray,
     SynthSpec,
     default_registry,
+    encoder_forward,
+    euclidean_distance,
     hand_template,
     init_encoder,
+    load_features,
+    load_store,
+    roc_sweep,
     save_features,
     save_params,
     save_registry,
@@ -219,6 +224,11 @@ class TestPalmCommands:
         save_features(path, feats)
         return path
 
+    @staticmethod
+    def embedded(data, params):
+        features = load_features(data)
+        return {s: encoder_forward(params, features[s]) for s in sorted(features)}
+
     def test_train_enroll_verify_roundtrip(self, capsys, tmp_path):
         data = self.dataset_path(tmp_path)
         params_path = tmp_path / "params.json"
@@ -252,18 +262,30 @@ class TestPalmCommands:
     def test_enroll_auto_threshold(self, capsys, tmp_path):
         data = self.dataset_path(tmp_path, seed=5)
         params_path = tmp_path / "params.json"
-        save_params(params_path, init_encoder(8, 8, 4, seed=1))
+        params = init_encoder(8, 8, 4, seed=1)
+        save_params(params_path, params)
         store = tmp_path / "store.json"
         code, out, _ = run_cli(capsys, "enroll", "--store", str(store),
                                "--subject", "s1", "--data", str(data),
                                "--params", str(params_path))
         assert code == 0
-        assert first_json(out)["threshold"] > 0.0
+        threshold = first_json(out)["threshold"]
+        assert threshold > 0.0
+        assert load_store(store)[0][0].threshold == threshold
+        # Leave-one-out, one pair at a time.
+        embedded = self.embedded(data, params)
+        own = embedded.pop("s1")
+        genuine = [min(euclidean_distance(a, b) for j, b in enumerate(own) if j != i)
+                   for i, a in enumerate(own)]
+        impostor = [min(euclidean_distance(row, b) for b in own)
+                    for rows in embedded.values() for row in rows]
+        assert threshold == roc_sweep(genuine, impostor).eer_threshold
 
     def test_roc_summary(self, capsys, tmp_path):
         data = self.dataset_path(tmp_path, seed=7)
         params_path = tmp_path / "params.json"
-        save_params(params_path, init_encoder(8, 8, 4, seed=2))
+        params = init_encoder(8, 8, 4, seed=2)
+        save_params(params_path, params)
         code, out, _ = run_cli(capsys, "roc", "--data", str(data),
                                "--params", str(params_path), "--points")
         assert code == 0
@@ -272,6 +294,19 @@ class TestPalmCommands:
         assert obj["num_impostor"] == 6 * 6 * 6  # subject pairs x samples^2
         assert 0.0 <= obj["eer"] <= 1.0
         assert obj["points"][0][0] == 0.0 and obj["points"][-1][0] == math.inf
+        # Every pair of samples, one at a time.
+        embedded = list(self.embedded(data, params).values())
+        genuine = [euclidean_distance(e[a], e[b]) for e in embedded
+                   for a in range(len(e)) for b in range(a + 1, len(e))]
+        impostor = [euclidean_distance(a, b) for i, e in enumerate(embedded)
+                    for f in embedded[i + 1:] for a in e for b in f]
+        sweep = roc_sweep(genuine, impostor)
+        assert obj == {
+            "eer_threshold": sweep.eer_threshold, "eer": sweep.eer,
+            "best_accuracy_threshold": sweep.best_accuracy_threshold,
+            "best_accuracy": sweep.best_accuracy,
+            "num_genuine": len(genuine), "num_impostor": len(impostor),
+            "points": [[p.threshold, p.far, p.frr] for p in sweep.points]}
 
 
 class TestErrorPaths:

@@ -34,6 +34,7 @@ from handwave import (
     triplet_loss,
     verify,
 )
+from handwave.palmauth import pairwise_distances
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -63,6 +64,18 @@ class TestEuclideanDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             euclidean_distance(np.zeros(3), np.zeros(4))
+
+    # D > 128 makes numpy's pairwise summation split each row into blocks.
+    @pytest.mark.parametrize("n, m, dim", [(1, 1, 1), (1, 6, 3), (5, 1, 1), (4, 7, 8),
+                                           (3, 4, 129), (2, 3, 200), (20, 20, 64)])
+    def test_pairwise_matches_per_pair_exactly(self, n, m, dim):
+        rng = np.random.default_rng(n * 1000 + dim)
+        a, b = rng.normal(size=(n, dim)) * 3.0, rng.normal(size=(m, dim))
+        got = pairwise_distances(a, b)
+        assert got.shape == (n, m)
+        for i in range(n):
+            for j in range(m):
+                assert got[i, j] == euclidean_distance(a[i], b[j])
 
     def test_metric_axioms_on_embeddings(self):
         rng = np.random.default_rng(2)
@@ -463,7 +476,7 @@ class TestEnrollVerify:
         decision = verify(probe, record, params)
         embedded = encoder_forward(params, probe)
         by_hand = min(euclidean_distance(embedded, anchor) for anchor in record.anchors)
-        assert decision.distance == pytest.approx(by_hand, rel=1e-15)
+        assert decision.distance == by_hand
 
     def test_monotonicity(self):
         params = self.setup_params()
