@@ -1,16 +1,18 @@
-"""How input text becomes JSON, and how a failure to read it is reported.
+"""How JSON text is read and written, and how a failure to read it is reported.
 
 Every file handwave reads is ASCII JSON: one whole document, or one document
 per non-blank line. Each reader names the HandwaveError subclass its failures
 raise, so a bad byte, bad syntax and a bad value all end as ``error: ...``.
+Everything handwave writes is compact ASCII JSON, one document per line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import HandwaveError, ParseError
 
@@ -50,6 +52,28 @@ def json_lines(source: Iterable[str] | str | Path,
         for n, line in enumerate(lines, start=1):
             if line.strip():
                 yield n, _loads(line, f"line {n}: ", error)
+
+
+def dumps(obj: Any) -> str:
+    """One document as compact JSON text, with no newline."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def write_lines(dest: TextIO | str | Path, objs: Iterable[Any]) -> int:
+    """Write each object as one LF-terminated line; returns the line count.
+
+    A path becomes a new ASCII file, opened before the first object is drawn,
+    so it exists even when producing the objects fails; an open text stream
+    is written to and left open.
+    """
+    opened = open(dest, "w", encoding="ascii") if isinstance(dest, (str, os.PathLike)) \
+        else nullcontext(dest)
+    count = 0
+    with opened as out:
+        for obj in objs:
+            out.write(dumps(obj) + "\n")
+            count += 1
+    return count
 
 
 class at_line:

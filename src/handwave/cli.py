@@ -21,16 +21,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import control, detect, gestures, palmauth, streams, synth
-from ._jsonio import NUMBER_ERRORS, read_json
+from ._jsonio import NUMBER_ERRORS, read_json, write_lines
 from .errors import ConfigError, DataError, HandwaveError
 from .evaluate import (
     evaluate as evaluate_pairs,
@@ -42,7 +40,7 @@ from .model import Handedness, HandFrame
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    write_lines(sys.stdout, [obj])
 
 
 def _load_config(path: str | None) -> dict:
@@ -85,11 +83,6 @@ def _registry(path: str | None) -> gestures.GestureRegistry:
     return gestures.load_registry(path) if path else gestures.default_registry()
 
 
-def _out_stream(path: str | None):
-    """The output file, opened now and closed on exit, or stdout, left open."""
-    return open(path, "w", encoding="ascii") if path else contextlib.nullcontext(sys.stdout)
-
-
 def cmd_synth(args) -> int:
     registry = _registry(args.registry)
     spec = synth.SynthSpec.from_registry(
@@ -99,12 +92,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     pairs = synth.synth_corpus(spec, _finger_params(_load_config(args.config)))
+    count = streams.write_labelled(args.out or sys.stdout, pairs)
     if args.out:
-        count = streams.write_labelled(args.out, pairs)
         _emit({"frames": count, "gestures": len(spec.gestures), "path": args.out})
-    else:
-        for frame, label in pairs:
-            sys.stdout.write(streams.labelled_line(frame, label) + "\n")
     return 0
 
 
@@ -118,46 +108,40 @@ def cmd_eval(args) -> int:
     report = evaluate_pairs(pairs, registry, params)
     obj = report_to_obj(report)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        write_lines(args.out, [obj])
     _emit(obj)
     sys.stdout.write(format_report_table(report) + "\n")
     return 0
 
 
+# decode, keypoints and replay hand write_lines generators: --out exists before input is read.
 def cmd_decode(args) -> int:
-    with _out_stream(args.out) as out:
+    def results():
         for record in detect.read_predictions(args.preds):
             boxes = detect.decode_record(
                 record, iou_thresh=args.iou_thresh, score_thresh=args.score_thresh)
-            obj = {"boxes": [[b.cx, b.cy, b.w, b.h, b.score] for b in boxes]}
-            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            yield {"boxes": [[b.cx, b.cy, b.w, b.h, b.score] for b in boxes]}
+    write_lines(args.out or sys.stdout, results())
     return 0
 
 
 def cmd_keypoints(args) -> int:
-    with _out_stream(args.out) as out:
+    def frames():
         for i, record in enumerate(detect.read_confidence_maps(args.maps)):
             region = record.region if record.region is not None else detect.FULL_IMAGE
             lms = detect.decode_keypoints(record.maps, region, Handedness.RIGHT)
-            frame = HandFrame(t_ms=i * 40, hands=(lms,))
-            streams.validate_frame(frame)
-            out.write(streams.serialize_frame(frame) + "\n")
+            yield HandFrame(t_ms=i * 40, hands=(lms,))
+    streams.write_frames(args.out or sys.stdout, frames())
     return 0
 
 
 def cmd_replay(args) -> int:
     registry = _registry(args.registry)
     engine = gestures.GestureEngine(registry, _finger_params(_load_config(args.config)))
-    with _out_stream(args.out) as out:
-        for event in engine.run(streams.read_frames(args.frames)):
-            obj = {
-                "name": event.name,
-                "onset_ms": event.onset_ms,
-                "offset_ms": event.offset_ms,
-                "cursor": [event.cursor.x, event.cursor.y] if event.cursor else None,
-            }
-            out.write(json.dumps(obj, separators=(",", ":")) + "\n")
+    write_lines(args.out or sys.stdout, (
+        {"name": e.name, "onset_ms": e.onset_ms, "offset_ms": e.offset_ms,
+         "cursor": [e.cursor.x, e.cursor.y] if e.cursor else None}
+        for e in engine.run(streams.read_frames(args.frames))))
     return 0
 
 
@@ -284,6 +268,8 @@ def cmd_verify(args) -> int:
         probe = np.asarray(probe_obj["features"], dtype=np.float64)
     except NUMBER_ERRORS as exc:
         raise DataError(f"probe: features must be numbers ({exc})") from exc
+    if not np.isfinite(probe).all():
+        raise DataError("probe: features must be finite")
     decision = palmauth.verify(probe, record, params)
     _emit({"accepted": decision.accepted, "distance": decision.distance,
            "subject": decision.subject_id})

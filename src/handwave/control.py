@@ -245,9 +245,11 @@ def open_transport(uri: str) -> Transport:
     if uri.startswith("tcp://"):
         rest = uri[len("tcp://"):]
         host, sep, port_text = rest.rpartition(":")
-        if not sep or not host or not port_text.isdigit():
+        # ASCII digits only: str.isdigit and int also take other scripts' digits.
+        port = int(port_text) if re.fullmatch("0*[0-9]{1,5}", port_text) else None
+        if not sep or not host or port is None or port > 65535:
             raise ConfigError(f"tcp URI must be tcp://host:port, got {uri!r}")
-        sock = socket.create_connection((host, int(port_text)))
+        sock = socket.create_connection((host, port))
         return Transport(sock.sendall, sock.close, uri)
     if uri.startswith("serial:"):
         path = uri[len("serial:"):]

@@ -21,7 +21,6 @@ calibrates that threshold from genuine/impostor distance samples.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._jsonio import NUMBER_ERRORS, at_line, json_lines, read_json
+from ._jsonio import NUMBER_ERRORS, at_line, json_lines, read_json, write_lines
 from .errors import (
     DataError,
     DimensionError,
@@ -380,6 +379,10 @@ def train(features: Mapping[str, np.ndarray], *,
         raise ValidationError(f"epochs must be positive, got {epochs}")
     if triplets_per_epoch < 1 or batch_size < 1:
         raise ValidationError("triplets_per_epoch and batch_size must be positive")
+    if not math.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     input_dim = next(iter(data.values())).shape[1]
     params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng, normalize=normalize)
@@ -564,15 +567,9 @@ def load_features(source: Iterable[str] | str | Path) -> dict[str, np.ndarray]:
 
 def save_features(path: str | Path, features: Mapping[str, np.ndarray]) -> int:
     """Write a feature dataset as JSONL; returns the row count."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for subject in features:
-            for row in np.asarray(features[subject], dtype=np.float64):
-                fh.write(json.dumps({"subject": subject,
-                                     "features": [float(v) for v in row]},
-                                    separators=(",", ":")) + "\n")
-                count += 1
-    return count
+    return write_lines(path, ({"subject": subject, "features": [float(v) for v in row]}
+                              for subject in features
+                              for row in np.asarray(features[subject], dtype=np.float64)))
 
 
 STORE_VERSION = 1
@@ -603,9 +600,7 @@ def save_store(path: str | Path, records: Sequence[EnrollmentRecord],
             for r in records
         ],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_lines(path, [obj])
 
 
 def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
@@ -647,9 +642,7 @@ def save_params(path: str | Path, params: EncoderParams) -> None:
         "w2": [[float(v) for v in row] for row in params.w2],
         "b2": [float(v) for v in params.b2],
     }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(obj, fh, separators=(",", ":"))
-        fh.write("\n")
+    write_lines(path, [obj])
 
 
 def load_params(path: str | Path) -> EncoderParams:

@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._jsonio import at_line, json_lines
+from ._jsonio import at_line, dumps, json_lines, write_lines
 from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
@@ -177,7 +177,7 @@ def parse_frame(line: str) -> HandFrame:
 
 def serialize_frame(frame: HandFrame) -> str:
     """Serialize a frame to its single-line JSON form (no trailing newline)."""
-    return json.dumps(frame_to_obj(frame), separators=(",", ":"))
+    return dumps(frame_to_obj(frame))
 
 
 def validate_frame(frame: HandFrame) -> None:
@@ -216,15 +216,14 @@ def read_frames(source: Iterable[str] | str | Path) -> Iterator[HandFrame]:
         yield frame
 
 
-def write_frames(path: str | Path, frames: Iterable[HandFrame]) -> int:
-    """Write frames as JSONL; returns the number of lines written."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for frame in frames:
-            validate_frame(frame)
-            fh.write(serialize_frame(frame) + "\n")
-            count += 1
-    return count
+def _line_obj(frame: HandFrame, **extra: str) -> dict:
+    validate_frame(frame)
+    return {**frame_to_obj(frame), **extra}
+
+
+def write_frames(dest: TextIO | str | Path, frames: Iterable[HandFrame]) -> int:
+    """Write frames as JSONL to a path or an open text stream; returns the line count."""
+    return write_lines(dest, map(_line_obj, frames))
 
 
 def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFrame, str]]:
@@ -246,19 +245,9 @@ def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFram
         yield frame, label
 
 
-def labelled_line(frame: HandFrame, label: str) -> str:
-    """One validated labelled corpus line (no trailing newline)."""
-    validate_frame(frame)
-    obj = frame_to_obj(frame)
-    obj["label"] = label
-    return json.dumps(obj, separators=(",", ":"))
+def write_labelled(dest: TextIO | str | Path, pairs: Iterable[tuple[HandFrame, str]]) -> int:
+    """Write (frame, label) pairs as labelled corpus JSONL; returns the line count.
 
-
-def write_labelled(path: str | Path, pairs: Iterable[tuple[HandFrame, str]]) -> int:
-    """Write (frame, label) pairs as labelled corpus JSONL; returns the line count."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for frame, label in pairs:
-            fh.write(labelled_line(frame, label) + "\n")
-            count += 1
-    return count
+    ``dest`` is a path or an open text stream, as for write_frames.
+    """
+    return write_lines(dest, (_line_obj(frame, label=label) for frame, label in pairs))

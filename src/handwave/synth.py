@@ -11,6 +11,7 @@ driven by one seeded generator: equal specs give byte-identical corpora.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,12 @@ class SynthSpec:
                 raise ValidationError(f"synth: bad gesture entry {name!r}")
         if self.frames_per_gesture < 1:
             raise ValidationError("synth: frames_per_gesture must be positive")
+        if not math.isfinite(self.jitter_sigma):
+            raise ValidationError(f"synth: jitter_sigma must be finite, got {self.jitter_sigma}")
         if self.jitter_sigma < 0:
             raise ValidationError("synth: jitter_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"synth: seed must be non-negative, got {self.seed}")
         if self.frame_interval_ms < 1:
             raise ValidationError("synth: frame_interval_ms must be positive")
 

@@ -100,6 +100,8 @@ COMMANDS = {
                "--params", "params.json"],
     "roc": ["--data", "data.jsonl", "--params", "params.json"],
     "track": ["--frames", "frames.jsonl", "--uri", "serial:port", "--config", "config.json"],
+    "synth": ["--registry", "registry.json", "--frames", "2", "--config", "config.json"],
+    "train": ["--data", "data.jsonl", "--out", "trained.json", "--epochs", "2"],
 }
 
 
@@ -148,7 +150,8 @@ def _features(*subjects):
 NO_PAIRS = "error: roc_sweep: need non-empty genuine and impostor distance vectors"
 
 
-# (id, command, file replaced, its bytes, a fragment the error message holds)
+# (id, command, file replaced, its bytes, a fragment the error message holds);
+# where an option stands for the file, its value is the text given last.
 BAD_INPUTS = [
     ("frames-non-ascii", "replay", "frames.jsonl", b'{"t": 0, "hands": []}\xc3\n',
      "error: line 1: not ASCII: 'ascii' codec can't decode byte 0xc3 in position 21"),
@@ -203,6 +206,21 @@ BAD_INPUTS = [
     ("roc-one-sample-each", "roc", "data.jsonl", _features("s0", "s1", "s2"), NO_PAIRS),
     ("probe-non-numeric", "verify", "probe.json", b'{"features": ["a", 1, 2, 3]}',
      "error: probe: features must be numbers"),
+    ("probe-nan", "verify", "probe.json", b'{"features": [NaN, 1, 2, 3]}',
+     "error: probe: features must be finite"),
+    ("probe-overflow", "verify", "probe.json", b'{"features": [1e400, 1, 2, 3]}',
+     "error: probe: features must be finite"),
+    ("synth-sigma-nan", "synth", "--sigma", "nan",
+     "error: synth: jitter_sigma must be finite, got nan"),
+    ("synth-sigma-inf", "synth", "--sigma", "inf",
+     "error: synth: jitter_sigma must be finite, got inf"),
+    ("synth-negative-sigma", "synth", "--sigma", "-0.5",
+     "error: synth: jitter_sigma must be non-negative"),
+    ("synth-negative-seed", "synth", "--seed", "-1",
+     "error: synth: seed must be non-negative, got -1"),
+    ("train-alpha-nan", "train", "--alpha", "nan", "error: alpha must be finite, got nan"),
+    ("train-negative-seed", "train", "--seed", "-1",
+     "error: seed must be non-negative, got -1"),
     ("finger-params-non-numeric", "replay", "config.json",
      b'{"finger_params": {"thumb_slope_max": "steep"}}',
      "error: config: finger_params.thumb_slope_max must be a number, got 'steep'"),
@@ -223,9 +241,13 @@ BAD_INPUTS = [
                          [case[1:] for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
-    path = tmp_path / name
-    path.write_bytes(data)
-    code, _, err = run_main(*argv_for(inputs, command, name, path))
+    if name.startswith("--"):  # argparse keeps an option's last value
+        argv = [*argv_for(inputs, command), name, data]
+    else:
+        path = tmp_path / name
+        path.write_bytes(data)
+        argv = argv_for(inputs, command, name, path)
+    code, _, err = run_main(*argv)
     assert code == 1
     assert err.startswith(message), err
     assert "Traceback" not in err

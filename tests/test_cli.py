@@ -309,6 +309,54 @@ class TestPalmCommands:
             "points": [[p.threshold, p.far, p.frr] for p in sweep.points]}
 
 
+class TestOutFiles:
+    """--out receives exactly the lines stdout gets without it."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        cfg = AnchorConfig(layers=(LayerSpec(2, 2, (0.3,), (1.0, 2.0)),))
+        preds = np.random.default_rng(5).normal(0.0, 1.5, (2, 8, 5))
+        (tmp_path / "preds.jsonl").write_text("".join(
+            json.dumps({"anchors_cfg": cfg.to_obj(), "preds": p.tolist()}) + "\n"
+            for p in preds))
+        maps = np.random.default_rng(6).random((3, 21, 12))
+        (tmp_path / "maps.jsonl").write_text("".join(
+            json.dumps({"h": 3, "w": 4, "maps": m.tolist()}) + "\n" for m in maps))
+        spec = SynthSpec.from_registry(default_registry(), frames_per_gesture=8)
+        write_frames(tmp_path / "frames.jsonl", (frame for frame, _ in synth_corpus(spec)))
+        return tmp_path
+
+    ARGV = {
+        "synth": ["--frames", "2", "--seed", "4"],
+        "decode": ["--preds", "preds.jsonl", "--score-thresh", "0.3"],
+        "keypoints": ["--maps", "maps.jsonl"],
+        "replay": ["--frames", "frames.jsonl"],
+    }
+
+    def argv(self, root, command):
+        return [command, *(str(root / a) if a.endswith(".jsonl") else a
+                           for a in self.ARGV[command])]
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_out_file_matches_stdout(self, capsys, inputs, command):
+        code, stdout, err = run_cli(capsys, *self.argv(inputs, command))
+        assert (code, err) == (0, "") and stdout.count("\n") >= 2
+        out = inputs / "out.jsonl"
+        code, summary, err = run_cli(capsys, *self.argv(inputs, command), "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == stdout.encode("ascii")
+        assert summary == ("" if command != "synth" else
+                           f'{{"frames":32,"gestures":16,"path":{json.dumps(str(out))}}}\n')
+
+    @pytest.mark.parametrize("command", ["decode", "keypoints", "replay"])
+    def test_out_file_created_before_input_is_read(self, capsys, tmp_path, command):
+        out = tmp_path / "out.jsonl"
+        code, stdout, err = run_cli(capsys, *self.argv(tmp_path, command), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert out.read_bytes() == b""
+
+
 class TestErrorPaths:
     def test_unknown_subcommand_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")

@@ -297,3 +297,30 @@ class TestTransports:
     def test_bad_uris_rejected(self, uri):
         with pytest.raises(ConfigError):
             open_transport(uri)
+
+    @pytest.mark.parametrize("port", [
+        "\u00b2", "\u0663", "99999", "65536", "1" * 5000, "+80", " 80", "80 ", "",
+    ], ids=["superscript-2", "arabic-indic-3", "99999", "65536", "5000-digits",
+            "plus-sign", "leading-space", "trailing-space", "empty"])
+    def test_bad_tcp_ports_rejected_before_connecting(self, monkeypatch, port):
+        def connect(address, *args):
+            pytest.fail(f"connected to {address!r}")
+
+        monkeypatch.setattr(socket, "create_connection", connect)
+        uri = f"tcp://127.0.0.1:{port}"
+        with pytest.raises(ConfigError) as info:
+            open_transport(uri)
+        assert str(info.value) == f"tcp URI must be tcp://host:port, got {uri!r}"
+
+    @pytest.mark.parametrize("port_text, port", [("0", 0), ("65535", 65535), ("0080", 80)])
+    def test_tcp_port_limits(self, monkeypatch, port_text, port):
+        addresses = []
+
+        class Socket:
+            sendall = close = staticmethod(lambda *args: None)
+
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda address: addresses.append(address) or Socket())
+        with open_transport(f"tcp://127.0.0.1:{port_text}"):
+            pass
+        assert addresses == [("127.0.0.1", port)]

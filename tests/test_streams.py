@@ -1,5 +1,6 @@
 """Frame JSONL: parse/serialize round trips, strict schema rejection, stream order."""
 
+import io
 import json
 from unittest import mock
 
@@ -186,6 +187,18 @@ class TestStreams:
                  (HandFrame(t_ms=40), "none")]
         assert write_labelled(path, pairs) == 2
         assert list(read_labelled(path)) == pairs
+
+    @pytest.mark.parametrize("write, items", [
+        (write_frames, [HandFrame(t_ms=0, hands=(make_hand(),)), HandFrame(t_ms=40)]),
+        (write_labelled, [(HandFrame(t_ms=0, hands=(make_hand("L"),)), "One_VRF"),
+                          (HandFrame(t_ms=40), "none")]),
+    ], ids=["frames", "labelled"])
+    def test_stream_gets_the_file_text(self, tmp_path, write, items):
+        path = tmp_path / "out.jsonl"
+        stream = io.StringIO()
+        assert write(path, items) == write(stream, items) == 2
+        assert stream.getvalue() == path.read_text("ascii")
+        assert not stream.closed
 
     def test_labelled_defaults_to_none(self):
         pairs = list(read_labelled(['{"t":0,"hands":[]}']))
