@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
 from .errors import HandwaveError, ParseError
@@ -21,8 +20,11 @@ from .errors import HandwaveError, ParseError
 NUMBER_ERRORS = (TypeError, ValueError, OverflowError)
 
 
-def _open(path: str | Path):
-    # Bytes above 0x7f become lone surrogates, which _loads reports.
+def open_text(path: str | os.PathLike):
+    """Open a file handwave reads as text.
+
+    Bytes above 0x7f become lone surrogates, which the JSON readers report.
+    """
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
@@ -38,16 +40,16 @@ def _loads(text: str, where: str, error: type[HandwaveError]) -> Any:
         raise error(f"{where}malformed JSON: {exc}") from exc
 
 
-def read_json(path: str | Path, what: str, error: type[HandwaveError]) -> Any:
+def read_json(path: str | os.PathLike, what: str, error: type[HandwaveError]) -> Any:
     """Decode a whole-file JSON document; failures read ``<what>: ...``."""
-    with _open(path) as fh:
+    with open_text(path) as fh:
         return _loads(fh.read(), f"{what}: ", error)
 
 
-def json_lines(source: Iterable[str] | str | Path,
+def json_lines(source: Iterable[str] | str | os.PathLike,
                error: type[HandwaveError] = ParseError) -> Iterator[tuple[int, Any]]:
     """Yield (line_no, obj) for each non-blank line of a path or an iterable of str."""
-    opened = _open(source) if isinstance(source, (str, Path)) else nullcontext(source)
+    opened = open_text(source) if isinstance(source, (str, os.PathLike)) else nullcontext(source)
     with opened as lines:
         for n, line in enumerate(lines, start=1):
             if line.strip():
@@ -59,7 +61,7 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def write_lines(dest: TextIO | str | Path, objs: Iterable[Any]) -> int:
+def write_lines(dest: TextIO | str | os.PathLike, objs: Iterable[Any]) -> int:
     """Write each object as one LF-terminated line; returns the line count.
 
     A path becomes a new ASCII file, opened before the first object is drawn,

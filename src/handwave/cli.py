@@ -28,10 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import control, detect, gestures, palmauth, streams, synth
-from ._jsonio import NUMBER_ERRORS, read_json, write_lines
+from ._jsonio import NUMBER_ERRORS, open_text, read_json, write_lines
 from .errors import ConfigError, DataError, HandwaveError
 from .evaluate import (
     evaluate as evaluate_pairs,
+    evaluate_corpus,
     evaluate_events,
     format_report_table,
     report_to_obj,
@@ -101,11 +102,16 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     registry = _registry(args.registry)
     params = _finger_params(_load_config(args.config))
-    pairs = streams.read_labelled(args.corpus)
     if args.events:
-        _emit(evaluate_events(pairs, registry, params))
+        _emit(evaluate_events(streams.read_labelled(args.corpus), registry, params))
         return 0
-    report = evaluate_pairs(pairs, registry, params)
+    with open_text(args.corpus) as fh:
+        lines = fh if fh.seekable() else fh.readlines()  # a pipe is read only once
+        report = evaluate_corpus(lines, registry, params)
+        if report is None:  # rejected in bulk: the line reader names the fault
+            if lines is fh:
+                fh.seek(0)
+            report = evaluate_pairs(streams.read_labelled(lines), registry, params)
     obj = report_to_obj(report)
     if args.out:
         write_lines(args.out, [obj])

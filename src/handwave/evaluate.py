@@ -13,8 +13,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataError
-from .gestures import DEFAULT_FINGER_PARAMS, FingerStateParams, GestureRegistry, _classify_frame
+from .gestures import (
+    DEFAULT_FINGER_PARAMS,
+    FingerStateParams,
+    GestureRegistry,
+    _classify_frame,
+    _classify_hands,
+)
 from .model import EvalReport, EvalRow, HandFrame
+from .streams import labelled_arrays
 
 NO_MATCH = "none"
 
@@ -28,50 +35,66 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     column per label plus a trailing "none" column for frames that matched
     nothing. Raises DataError on an empty stream.
     """
-    labels: list[str] = []
-    confusion: dict[str, dict[str, int]] = {}
-    predicted_names: set[str] = set()
-    total = 0
+    tally = _Tally()
     for frame, label in pairs:
-        predicted = _classify_frame(frame, registry, params)
-        predicted = NO_MATCH if predicted is None else predicted
-        if label not in confusion:
-            labels.append(label)
-            confusion[label] = {}
-        row = confusion[label]
-        row[predicted] = row.get(predicted, 0) + 1
-        predicted_names.add(predicted)
-        total += 1
-    if total == 0:
-        raise DataError("evaluate: the labelled stream is empty")
+        tally.add(label, _classify_frame(frame, registry, params))
+    return tally.report()
 
-    columns = list(labels)
-    for name in sorted(predicted_names):
-        if name not in columns and name != NO_MATCH:
-            columns.append(name)
-    if NO_MATCH not in columns:
-        columns.append(NO_MATCH)
 
-    matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
-    col_index = {name: i for i, name in enumerate(columns)}
-    rows = []
-    correct_total = 0
-    for r, label in enumerate(labels):
-        counts = confusion[label]
-        for predicted, count in counts.items():
-            matrix[r, col_index[predicted]] = count
-        label_total = sum(counts.values())
-        label_correct = counts.get(label, 0)
-        correct_total += label_correct
-        rows.append(EvalRow.from_counts(label, label_total, label_correct))
+def evaluate_corpus(lines: Iterable[str], registry: GestureRegistry,
+                    params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport | None:
+    """evaluate(read_labelled(lines), registry, params), scored as arrays.
 
-    return EvalReport(
-        rows=tuple(rows),
-        totals=EvalRow.from_counts("total", total, correct_total),
-        labels=tuple(labels),
-        columns=tuple(columns),
-        confusion=matrix,
-    )
+    Returns None where labelled_arrays gives up, which is where read_labelled
+    would raise: read the lines again with it to get the error.
+    """
+    tally = _Tally()
+    for chunk in labelled_arrays(lines):
+        if chunk is None:
+            return None
+        names = _classify_hands(chunk.points, chunk.frame_of, chunk.side, len(chunk.labels),
+                                registry, params)
+        for label, name in zip(chunk.labels, names):
+            tally.add(label, name)
+    return tally.report()
+
+
+class _Tally:
+    """Each frame's label and predicted name, as indices in first-seen order."""
+
+    def __init__(self) -> None:
+        self.labels: dict[str, int] = {}
+        self.names: dict[str, int] = {}
+        self.label_ids: list[int] = []
+        self.name_ids: list[int] = []
+
+    def add(self, label: str, name: str | None) -> None:
+        """Count one frame; ``name`` is None when it matched nothing."""
+        self.label_ids.append(self.labels.setdefault(label, len(self.labels)))
+        self.name_ids.append(self.names.setdefault(name or NO_MATCH, len(self.names)))
+
+    def report(self) -> EvalReport:
+        if not self.label_ids:
+            raise DataError("evaluate: the labelled stream is empty")
+        labels, names = list(self.labels), list(self.names)
+        counts = np.bincount(np.array(self.label_ids) * len(names) + self.name_ids,
+                             minlength=len(labels) * len(names)).reshape(len(labels), len(names))
+        columns = labels + sorted(set(names) - {*labels, NO_MATCH})
+        if NO_MATCH not in columns:
+            columns.append(NO_MATCH)
+
+        col_index = {name: i for i, name in enumerate(columns)}
+        matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
+        matrix[:, [col_index[name] for name in names]] = counts
+        totals = counts.sum(axis=1).tolist()
+        correct = [int(matrix[r, col_index[label]]) for r, label in enumerate(labels)]
+        return EvalReport(
+            rows=tuple(map(EvalRow.from_counts, labels, totals, correct)),
+            totals=EvalRow.from_counts("total", len(self.label_ids), sum(correct)),
+            labels=tuple(labels),
+            columns=tuple(columns),
+            confusion=matrix,
+        )
 
 
 def pct_floor(numerator: int, denominator: int) -> str:

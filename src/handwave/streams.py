@@ -16,19 +16,20 @@ holding the ground-truth gesture name ("none" when absent).
 from __future__ import annotations
 
 import json
+import os
 from itertools import chain
-from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
 from ._jsonio import at_line, dumps, json_lines, write_lines
-from .errors import ParseError, StreamOrderError, ValidationError
+from .errors import HandwaveError, ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
 _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
-_SIDES = {"R": Handedness.RIGHT, "L": Handedness.LEFT}
+_SIDE_INDEX = {"R": 0, "L": 1}
+_HANDEDNESS = (Handedness.RIGHT, Handedness.LEFT)
 _NUMBER_TYPES = frozenset((float, int))
 
 
@@ -83,40 +84,64 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
     return LandmarkSet(points=points, handedness=Handedness(obj["hd"]), confidences=conf)
 
 
-def _hand_from_array(obj: Any) -> LandmarkSet | None:
-    """The hand ``obj`` describes, checked in bulk, or None when any check fails.
+def _hand_fields(obj: Any, pairs: list, confs: list) -> int | None:
+    """0 for a right hand, 1 for a left one, or None when a field of ``obj`` is amiss.
 
-    It accepts only what ``_hand_from_obj`` accepts and builds an equal hand,
-    so a None sends the caller to that walker, which names the bad field. The
-    exact type test keeps bools and strings out: numpy alone reads True as 1.0
-    and "0.5" as 0.5.
+    The [x, y] pairs and any confidences are appended to ``pairs`` and
+    ``confs``, for _unit_values to check.
     """
     if type(obj) is not dict or not obj.keys() <= _HAND_KEYS:
         return None
     hd, pts = obj.get("hd"), obj.get("pts")
-    side = _SIDES.get(hd) if type(hd) is str else None
-    if side is None or type(pts) is not list or len(pts) != NUM_LANDMARKS \
-            or set(map(type, pts)) != {list} or set(map(len, pts)) != {2}:
+    if type(hd) is not str or hd not in _SIDE_INDEX \
+            or type(pts) is not list or len(pts) != NUM_LANDMARKS:
         return None
-    values = [*chain.from_iterable(pts)]
-    has_conf = "conf" in obj
-    if has_conf:
+    if "conf" in obj:
         conf = obj["conf"]
         if type(conf) is not list or len(conf) != NUM_LANDMARKS:
             return None
-        values += conf
+        confs.extend(conf)
+    pairs.extend(pts)
+    return _SIDE_INDEX[hd]
+
+
+def _unit_values(pairs: list, confs: list) -> np.ndarray | None:
+    """Every x and y of ``pairs``, then ``confs``, as one float64 array.
+
+    None unless every pair is an [x, y] list and every value an int or a
+    float in [0, 1]. The exact type test keeps bools and strings out: numpy
+    alone reads True as 1.0 and "0.5" as 0.5.
+    """
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    values = [*chain.from_iterable(pairs), *confs]
     if not set(map(type, values)) <= _NUMBER_TYPES:
         return None
     try:
         arr = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         return None
-    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+        return None
+    return arr
+
+
+def _hand_from_array(obj: Any) -> LandmarkSet | None:
+    """The hand ``obj`` describes, checked in bulk, or None when any check fails.
+
+    It accepts only what ``_hand_from_obj`` accepts and builds an equal hand,
+    so a None sends the caller to that walker, which names the bad field.
+    """
+    pairs: list = []
+    confs: list = []
+    side = _hand_fields(obj, pairs, confs)
+    arr = None if side is None else _unit_values(pairs, confs)
+    if arr is None:
         return None
     arr.setflags(write=False)  # the hand's arrays are views of it
     n = 2 * NUM_LANDMARKS
-    confidences = arr[n:] if has_conf else np.ones(NUM_LANDMARKS)
-    return LandmarkSet._checked(arr[:n].reshape(NUM_LANDMARKS, 2), side, confidences)
+    confidences = arr[n:] if confs else np.ones(NUM_LANDMARKS)
+    return LandmarkSet._checked(arr[:n].reshape(NUM_LANDMARKS, 2), _HANDEDNESS[side], confidences)
 
 
 def frame_from_obj(obj: Any) -> HandFrame:
@@ -154,8 +179,8 @@ def frame_to_obj(frame: HandFrame) -> dict:
         "hands": [
             {
                 "hd": h.handedness.value,
-                "pts": [[float(x), float(y)] for x, y in h.points],
-                "conf": [float(c) for c in h.confidences],
+                "pts": h.points.tolist(),
+                "conf": h.confidences.tolist(),
             }
             for h in frame.hands
         ],
@@ -191,7 +216,7 @@ def validate_frame(frame: HandFrame) -> None:
         raise ValidationError(f"frame: expected HandFrame, got {type(frame).__name__}")
     for i, hand in enumerate(frame.hands):
         pts = hand.points
-        if not ((pts >= 0.0).all() and (pts <= 1.0).all()):
+        if not (pts.min() >= 0.0 and pts.max() <= 1.0):  # NaN fails both
             raise ValidationError(f"hands[{i}].pts: coordinates must lie in [0, 1]")
 
 
@@ -201,7 +226,7 @@ def _check_order(frame: HandFrame, last_t: int | None) -> int:
     return frame.t_ms
 
 
-def read_frames(source: Iterable[str] | str | Path) -> Iterator[HandFrame]:
+def read_frames(source: Iterable[str] | str | os.PathLike) -> Iterator[HandFrame]:
     """Yield frames from a path or line iterable, enforcing increasing timestamps.
 
     Blank lines are skipped. Raises StreamOrderError on the first frame whose
@@ -221,12 +246,12 @@ def _line_obj(frame: HandFrame, **extra: str) -> dict:
     return {**frame_to_obj(frame), **extra}
 
 
-def write_frames(dest: TextIO | str | Path, frames: Iterable[HandFrame]) -> int:
+def write_frames(dest: TextIO | str | os.PathLike, frames: Iterable[HandFrame]) -> int:
     """Write frames as JSONL to a path or an open text stream; returns the line count."""
     return write_lines(dest, map(_line_obj, frames))
 
 
-def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFrame, str]]:
+def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[HandFrame, str]]:
     """Yield (frame, label) pairs from a labelled corpus.
 
     Lines without a "label" field yield the label "none". Timestamp ordering
@@ -245,7 +270,70 @@ def read_labelled(source: Iterable[str] | str | Path) -> Iterator[tuple[HandFram
         yield frame, label
 
 
-def write_labelled(dest: TextIO | str | Path, pairs: Iterable[tuple[HandFrame, str]]) -> int:
+class LabelledArrays(NamedTuple):
+    """Consecutive frames of a labelled corpus, with every hand in one array."""
+
+    labels: list[str]     # one per frame
+    points: np.ndarray    # (H, 21, 2) float64: every hand, in file order
+    frame_of: np.ndarray  # (H,) the index in ``labels`` of each hand's frame
+    side: np.ndarray      # (H,) 0 for a right hand, 1 for a left one
+
+
+_CHUNK_FRAMES = 1024  # bounds the decoded JSON held at once
+
+
+def labelled_arrays(lines: Iterable[str]) -> Iterator[LabelledArrays | None]:
+    """The frames read_labelled(lines) yields, in chunks of arrays.
+
+    Every check read_labelled makes is repeated, in bulk where it can be:
+    exact types, keys, labels, timestamp order and distinct sides per line,
+    then one type and range check per chunk. At the first failure, an error
+    of the JSON reader included, this yields None and stops; reading the
+    lines again with read_labelled then raises the error that names the line
+    and field at fault. No LandmarkSet is built on this path.
+    """
+    def chunk() -> LabelledArrays | None:
+        arr = _unit_values(pairs, confs)
+        return None if arr is None else LabelledArrays(
+            labels, arr[:2 * len(pairs)].reshape(-1, NUM_LANDMARKS, 2),
+            np.array(frame_of, dtype=np.intp), np.array(side, dtype=np.intp))
+
+    last_t = -1  # below every valid first timestamp
+    labels: list[str] = []
+    pairs: list = []  # every [x, y] of the chunk
+    confs: list = []  # every confidence of the chunk
+    frame_of: list[int] = []
+    side: list[int] = []
+    try:
+        for _, obj in json_lines(lines):
+            if type(obj) is not dict:
+                break
+            label = obj.pop("label", "none")
+            t, hands = obj.get("t"), obj.get("hands")
+            if type(label) is not str or not label or obj.keys() != _FRAME_KEYS \
+                    or type(t) is not int or t <= last_t \
+                    or type(hands) is not list or len(hands) > 2:
+                break
+            sides = [_hand_fields(hand, pairs, confs) for hand in hands]
+            if None in sides or len(set(sides)) < len(sides):
+                break
+            frame_of += [len(labels)] * len(sides)
+            side += sides
+            labels.append(label)
+            last_t = t
+            if len(labels) == _CHUNK_FRAMES:
+                yield chunk()
+                labels, pairs, confs, frame_of, side = [], [], [], [], []
+        else:
+            if labels:
+                yield chunk()
+            return
+    except HandwaveError:
+        pass
+    yield None
+
+
+def write_labelled(dest: TextIO | str | os.PathLike, pairs: Iterable[tuple[HandFrame, str]]) -> int:
     """Write (frame, label) pairs as labelled corpus JSONL; returns the line count.
 
     ``dest`` is a path or an open text stream, as for write_frames.

@@ -134,6 +134,7 @@ def synth_corpus(spec: SynthSpec,
     a left hand posed per side. Timestamps advance by ``frame_interval_ms``.
     """
     rng = np.random.default_rng(spec.seed)
+    frames = spec.frames_per_gesture
     pairs: list[tuple[HandFrame, str]] = []
     t = 0
     for name, pattern in spec.gestures:
@@ -142,13 +143,17 @@ def synth_corpus(spec: SynthSpec,
                      hand_template(pattern.left, Handedness.LEFT, params)]
         else:
             bases = [hand_template(pattern, Handedness.RIGHT, params)]
-        for _ in range(spec.frames_per_gesture):
-            hands = []
-            for base in bases:
-                noisy = base.points + rng.normal(0.0, spec.jitter_sigma, (NUM_LANDMARKS, 2)) \
-                    if spec.jitter_sigma > 0 else base.points.copy()
-                np.clip(noisy, 0.0, 1.0, out=noisy)
-                hands.append(LandmarkSet(points=noisy, handedness=base.handedness))
-            pairs.append((HandFrame(t_ms=t, hands=tuple(hands)), name))
+        # One draw for the whole gesture gives the values, in the same order,
+        # that one (21, 2) draw per hand per frame would; with sigma 0 every
+        # draw is a signed zero, which leaves the template as it is.
+        shape = (frames, len(bases), NUM_LANDMARKS, 2)
+        noisy = np.stack([base.points for base in bases]) \
+            + rng.normal(0.0, spec.jitter_sigma, shape)
+        np.clip(noisy, 0.0, 1.0, out=noisy)  # finite and in [0, 1], as _checked needs
+        confidences = np.ones(shape[:-1])
+        for f in range(frames):
+            hands = tuple(LandmarkSet._checked(noisy[f, h], base.handedness, confidences[f, h])
+                          for h, base in enumerate(bases))
+            pairs.append((HandFrame(t_ms=t, hands=hands), name))
             t += spec.frame_interval_ms
     return pairs

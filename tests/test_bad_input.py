@@ -22,11 +22,14 @@ from handwave import (
     AnchorConfig,
     LayerSpec,
     DataError,
+    Handedness,
+    PostureArray,
     StreamOrderError,
     SynthSpec,
     ValidationError,
     default_registry,
     enroll,
+    hand_template,
     init_encoder,
     load_features,
     read_frames,
@@ -147,6 +150,21 @@ def _features(*subjects):
                    for i, s in enumerate(subjects)).encode()
 
 
+LABELLED = {"t": 0, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}], "label": "One_VRF"}
+
+
+def _corpus(*edits):
+    """Two labelled lines 40 ms apart; each edit sets (line index, field, value)."""
+    lines = [{**LABELLED, "t": 40 * i} for i in range(2)]
+    for i, key, value in edits:
+        lines[i] = {**lines[i], key: value}
+    return "".join(json.dumps(obj) + "\n" for obj in lines).encode()
+
+
+def _first_point(pair):
+    return [{"hd": "R", "pts": [pair] + [[0.5, 0.5]] * 20}]
+
+
 NO_PAIRS = "error: roc_sweep: need non-empty genuine and impostor distance vectors"
 
 
@@ -174,6 +192,26 @@ BAD_INPUTS = [
      "error: line 1: hands[0].pts[0].x: must be finite"),
     ("corpus-bad-frame", "eval", "corpus.jsonl", _with(FRAME, t=1.5),
      "error: line 1: t: expected integer milliseconds"),
+    ("corpus-true-coordinate", "eval", "corpus.jsonl",
+     _corpus((1, "hands", _first_point([True, 0.5]))),
+     "error: line 2: hands[0].pts[0].x: expected a number, got True\n"),
+    ("corpus-huge-integer", "eval", "corpus.jsonl",
+     _corpus((1, "hands", _first_point([0.5, 10**400]))),
+     "error: line 2: hands[0].pts[0].y: must be finite, got 1000"),
+    ("corpus-duplicate-hd", "eval", "corpus.jsonl", _corpus((0, "hands", LABELLED["hands"] * 2)),
+     "error: line 1: hands: duplicate handedness\n"),
+    ("corpus-non-increasing-t", "eval", "corpus.jsonl", _corpus((1, "t", 0)),
+     "error: line 2: timestamp 0 does not increase past 0\n"),
+    ("corpus-empty-label", "eval", "corpus.jsonl", _corpus((1, "label", "")),
+     "error: line 2: label must be a non-empty string\n"),
+    ("corpus-non-string-label", "eval", "corpus.jsonl", _corpus((0, "label", ["One_VRF"])),
+     "error: line 1: label must be a non-empty string\n"),
+    ("corpus-unexpected-key", "eval", "corpus.jsonl", _corpus((1, "x", 1)),
+     "error: line 2: frame: unexpected field 'x'\n"),
+    ("corpus-non-object-line", "eval", "corpus.jsonl", _corpus() + b"[1]\n",
+     "error: line 3: expected an object\n"),
+    ("corpus-blank-lines", "eval", "corpus.jsonl", b"\n  \n\n",
+     "error: evaluate: the labelled stream is empty\n"),
     ("region-non-numeric", "keypoints", "maps.jsonl",
      json.dumps({"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21,
                  "region": ["a", 0.5, 0.5, 0.5]}).encode(),
@@ -251,6 +289,48 @@ def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
     assert code == 1
     assert err.startswith(message), err
     assert "Traceback" not in err
+
+
+def _hand(side, bits, conf=None):
+    hand = {"hd": side, "pts": hand_template(PostureArray(bits), Handedness(side)).points.tolist()}
+    if conf is not None:
+        hand["conf"] = [conf] * 21
+    return hand
+
+
+FIVE, TWO, ONE, FIST = (1, 1, 1, 1, 1), (0, 1, 1, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 0)
+# Left hands listed first, hands with and without "conf", a line with no label.
+MIXED_CORPUS = [
+    {"t": 0, "hands": [_hand("L", FIVE), _hand("R", FIVE, 0.5)], "label": "TimeOut_2H"},
+    {"t": 40, "hands": [_hand("R", TWO)], "label": "Two_VRF"},
+    {"t": 80, "hands": [_hand("L", ONE, 1)], "label": "One_VRF"},
+    {"t": 120, "hands": [_hand("L", TWO, 0.25), _hand("R", FIVE)], "label": "TimeOut_2H"},
+    {"t": 160, "hands": [_hand("R", FIST, 0.75)]},
+    {"t": 200, "hands": [], "label": "none"},
+]
+MIXED_REPORT = (
+    '{"rows":[{"name":"TimeOut_2H","total_frames":2,"correct_frames":1,"false_frames":1,'
+    '"accuracy_pct":50.0,"error_pct":50.0,"recall":0.5},{"name":"Two_VRF","total_frames":1,'
+    '"correct_frames":1,"false_frames":0,"accuracy_pct":100.0,"error_pct":0.0,"recall":1.0},'
+    '{"name":"One_VRF","total_frames":1,"correct_frames":1,"false_frames":0,"accuracy_pct":100.0,'
+    '"error_pct":0.0,"recall":1.0},{"name":"none","total_frames":2,"correct_frames":1,'
+    '"false_frames":1,"accuracy_pct":50.0,"error_pct":50.0,"recall":0.5}],"totals":{"name":"total",'
+    '"total_frames":6,"correct_frames":4,"false_frames":2,"accuracy_pct":66.66666666666667,'
+    '"error_pct":33.33333333333333,"recall":0.6666666666666666},"confusion":{"labels":'
+    '["TimeOut_2H","Two_VRF","One_VRF","none"],"columns":["TimeOut_2H","Two_VRF","One_VRF","none",'
+    '"Punch_VRF"],"counts":[[1,1,0,0,0],[0,1,0,0,0],[0,0,1,0,0],[0,0,0,1,1]]}}\n'
+    "gesture     total  correct  false  accuracy%  error%  recall\n"
+    "TimeOut_2H      2        1      1      50.00   50.00    0.50\n"
+    "Two_VRF         1        1      0     100.00    0.00    1.00\n"
+    "One_VRF         1        1      0     100.00    0.00    1.00\n"
+    "none            2        1      1      50.00   50.00    0.50\n"
+    "total           6        4      2      66.66   33.33    0.67\n")
+
+
+def test_eval_reads_hands_in_any_order(inputs, tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in MIXED_CORPUS))
+    assert run_main(*argv_for(inputs, "eval", "corpus.jsonl", path)) == (0, MIXED_REPORT, "")
 
 
 @pytest.mark.parametrize("subjects, message", [

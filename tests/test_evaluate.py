@@ -1,10 +1,15 @@
 """Frame and event evaluation, plus the truncated-percentage table formatting."""
 
+import io
+
 import pytest
 
 from handwave import (
+    DEFAULT_FINGER_PARAMS,
     DataError,
+    DoublePattern,
     EvalRow,
+    FingerStateParams,
     GestureDef,
     GestureRegistry,
     PostureArray,
@@ -16,9 +21,12 @@ from handwave import (
     format_row_cells,
     hand_template,
     pct_floor,
+    read_labelled,
     report_to_obj,
     synth_corpus,
+    write_labelled,
 )
+from handwave.evaluate import evaluate_corpus
 from handwave.model import HandFrame
 
 ONE = PostureArray.of(0, 1, 0, 0, 0)
@@ -97,6 +105,51 @@ class TestEvaluate:
     def test_empty_stream_rejected(self):
         with pytest.raises(DataError):
             evaluate([], small_registry())
+
+    def test_stray_columns_sorted_after_labels(self):
+        pairs = (frames_of(TWO, 1, "X") + frames_of(FIVE, 2, "X", start_t=40)
+                 + frames_of(ONE, 1, "X", start_t=120))
+        report = evaluate(pairs, small_registry())
+        assert report.columns == ("X", "Five", "One", "Two", "none")
+        assert report.confusion.tolist() == [[0, 2, 1, 1, 0]]
+
+    def test_gesture_named_none_shares_the_none_column(self):
+        registry = GestureRegistry([GestureDef("none", ONE), GestureDef("Two", TWO)])
+        pairs = frames_of(ONE, 2, "none") + frames_of(FIVE, 1, "none", start_t=80)
+        report = evaluate(pairs, registry)
+        assert (report.labels, report.columns) == (("none",), ("none",))
+        assert report.confusion.tolist() == [[3]]
+        assert report.totals.correct_frames == 3
+
+
+def scored(report):
+    return report_to_obj(report), format_report_table(report), report.confusion.dtype
+
+
+class TestEvaluateCorpus:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
+    @pytest.mark.parametrize("registry, params", [
+        (default_registry(), DEFAULT_FINGER_PARAMS),
+        (GestureRegistry([GestureDef("none", ONE), GestureDef("Two", TWO),
+                          GestureDef("Both", DoublePattern(right=FIVE, left=TWO))]),
+         FingerStateParams(thumb_slope_max=0.5, thumb_min_dx=0.1)),
+    ], ids=["stock", "custom"])
+    def test_arrays_give_the_frame_by_frame_report(self, sigma, registry, params):
+        spec = SynthSpec.from_registry(default_registry(), frames_per_gesture=7,
+                                       jitter_sigma=sigma, seed=11)
+        text = io.StringIO()
+        write_labelled(text, synth_corpus(spec))
+        lines = text.getvalue().splitlines()
+        want = evaluate(read_labelled(lines), registry, params)
+        assert scored(evaluate_corpus(lines, registry, params)) == scored(want)
+
+    def test_rejected_corpus_gives_none(self):
+        lines = ['{"t": 0, "hands": []}', '{"t": 0, "hands": []}']
+        assert evaluate_corpus(lines, small_registry()) is None
+
+    def test_empty_corpus_rejected_as_evaluate_rejects_it(self):
+        with pytest.raises(DataError, match="^evaluate: the labelled stream is empty$"):
+            evaluate_corpus(["\n"], small_registry())
 
 
 class TestPctFloor:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from handwave import (
     HandFrame,
+    HandwaveError,
     Handedness,
     LandmarkSet,
     ParseError,
@@ -241,6 +242,41 @@ def frame_objs(draw):
     return {"t": draw(st.integers(min_value=0, max_value=10**9)), "hands": hands}
 
 
+# (hand index, mutation) pairs that make one hand of a valid frame invalid.
+BAD_HANDS = [
+    (0, lambda h: h["pts"][0].__setitem__(0, True)),
+    (1, lambda h: h["pts"][3].__setitem__(1, "0.5")),
+    (0, lambda h: h["conf"].__setitem__(2, float("nan"))),
+    (1, lambda h: h["pts"][5].__setitem__(0, float("nan"))),
+    (0, lambda h: h["pts"][5].__setitem__(0, float("inf"))),
+    (0, lambda h: h["conf"].__setitem__(7, float("-inf"))),
+    (1, lambda h: h["pts"][1].__setitem__(1, 10**400)),
+    (0, lambda h: h["conf"].__setitem__(0, 1.0000001)),
+    (0, lambda h: h["pts"][20].__setitem__(1, -1e-300)),
+    (0, lambda h: h["pts"].pop()),
+    (1, lambda h: h["pts"].append([0.5, 0.5])),
+    (0, lambda h: h["pts"].__setitem__(4, [0.5, 0.5, 0.5])),
+    (0, lambda h: h["pts"].__setitem__(4, [])),
+    (0, lambda h: h["pts"].__setitem__(4, 0.5)),
+    (0, lambda h: h.__setitem__("pts", {})),
+    (0, lambda h: h.__setitem__("x", 1)),
+    (0, lambda h: h.__setitem__("hd", "Q")),
+    (1, lambda h: h.__setitem__("hd", ["L"])),
+    (0, lambda h: h.pop("hd")),
+    (0, lambda h: h.pop("pts")),
+    (0, lambda h: h.__setitem__("conf", [0.5] * 20)),
+    (1, lambda h: h.__setitem__("conf", "0.5")),
+    (0, lambda h: h["conf"].__setitem__(3, None)),
+    (0, lambda h: h["conf"].__setitem__(3, [0.5])),
+]
+BAD_HAND_IDS = [
+    "true", "string", "nan-conf", "nan-pt", "infinity", "minus-infinity", "400-digit-int",
+    "above-one", "below-zero", "20-points", "22-points", "3-element-pair", "empty-pair",
+    "number-pair", "pts-object", "extra-key", "bad-hd", "list-hd", "no-hd", "no-pts",
+    "20-conf", "string-conf", "null-conf", "list-in-conf",
+]
+
+
 class TestBulkHandCheck:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(obj=frame_objs())
@@ -259,36 +295,7 @@ class TestBulkHandCheck:
         obj["hands"].append(left)
         return obj
 
-    @pytest.mark.parametrize("hand, mutate", [
-        (0, lambda h: h["pts"][0].__setitem__(0, True)),
-        (1, lambda h: h["pts"][3].__setitem__(1, "0.5")),
-        (0, lambda h: h["conf"].__setitem__(2, float("nan"))),
-        (1, lambda h: h["pts"][5].__setitem__(0, float("nan"))),
-        (0, lambda h: h["pts"][5].__setitem__(0, float("inf"))),
-        (0, lambda h: h["conf"].__setitem__(7, float("-inf"))),
-        (1, lambda h: h["pts"][1].__setitem__(1, 10**400)),
-        (0, lambda h: h["conf"].__setitem__(0, 1.0000001)),
-        (0, lambda h: h["pts"][20].__setitem__(1, -1e-300)),
-        (0, lambda h: h["pts"].pop()),
-        (1, lambda h: h["pts"].append([0.5, 0.5])),
-        (0, lambda h: h["pts"].__setitem__(4, [0.5, 0.5, 0.5])),
-        (0, lambda h: h["pts"].__setitem__(4, [])),
-        (0, lambda h: h["pts"].__setitem__(4, 0.5)),
-        (0, lambda h: h.__setitem__("pts", {})),
-        (0, lambda h: h.__setitem__("x", 1)),
-        (0, lambda h: h.__setitem__("hd", "Q")),
-        (1, lambda h: h.__setitem__("hd", ["L"])),
-        (0, lambda h: h.pop("hd")),
-        (0, lambda h: h.pop("pts")),
-        (0, lambda h: h.__setitem__("conf", [0.5] * 20)),
-        (1, lambda h: h.__setitem__("conf", "0.5")),
-        (0, lambda h: h["conf"].__setitem__(3, None)),
-        (0, lambda h: h["conf"].__setitem__(3, [0.5])),
-    ], ids=["true", "string", "nan-conf", "nan-pt", "infinity", "minus-infinity",
-            "400-digit-int", "above-one", "below-zero", "20-points", "22-points",
-            "3-element-pair", "empty-pair", "number-pair", "pts-object",
-            "extra-key", "bad-hd", "list-hd", "no-hd", "no-pts", "20-conf",
-            "string-conf", "null-conf", "list-in-conf"])
+    @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
     def test_bad_hand_fails_as_the_walker_fails(self, hand, mutate):
         obj = self.two_hands()
         mutate(obj["hands"][hand])
@@ -323,3 +330,145 @@ class TestBulkHandCheck:
         mutate(obj["hands"][0])
         assert streams._hand_from_array(obj["hands"][0]) is None
         assert outcome(frame_from_obj, obj) == outcome(walked, obj)
+
+
+# --- the labelled corpus as arrays against read_labelled ---------------------
+
+def arrays_outcome(lines):
+    """labelled_arrays' frames as (label, {side: point bytes}), or None where it gave up."""
+    frames = []
+    for chunk in streams.labelled_arrays(lines):
+        if chunk is None:
+            return None
+        assert chunk.points.dtype == np.float64 and chunk.points.shape[1:] == (21, 2)
+        assert len(chunk.points) == len(chunk.frame_of) == len(chunk.side)
+        these = [(label, {}) for label in chunk.labels]
+        for pts, f, side in zip(chunk.points, chunk.frame_of, chunk.side):
+            these[f][1]["RL"[side]] = pts.tobytes()
+        frames += these
+    return frames
+
+
+def read_outcome(lines):
+    """The same from read_labelled, or None where it raises."""
+    try:
+        return [(label, {h.handedness.value: h.points.tobytes() for h in frame.hands})
+                for frame, label in read_labelled(lines)]
+    except HandwaveError:
+        return None
+
+
+ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 2, 21, 1.5, -0.0, 5e-324, 10**400, "R", "L",
+                              "", "none", [], {}, [0.5, 0.5], float("nan"), float("inf")])
+
+
+def _nodes(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+@st.composite
+def corpus_lines(draw):
+    """A labelled corpus, valid or with one node replaced or deleted."""
+    objs = draw(st.lists(frame_objs(), max_size=3))
+    t = draw(st.integers(0, 3))
+    for obj in objs:
+        obj["t"] = t
+        t += draw(st.integers(1, 50))
+        label = draw(st.sampled_from([None, "none", "A", "B"]))
+        if label is not None:
+            obj["label"] = label
+    if objs and draw(st.booleans()):
+        line = draw(st.integers(0, len(objs) - 1))
+        path = draw(st.sampled_from(list(_nodes(objs[line]))))
+        if not path:
+            objs[line] = draw(ODD_VALUES)
+        else:
+            parent = objs[line]
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(ODD_VALUES)
+    return [json.dumps(obj) + "\n" for obj in objs]
+
+
+class TestLabelledArrays:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(lines=corpus_lines())
+    def test_arrays_hold_what_read_labelled_reads(self, lines):
+        assert arrays_outcome(lines) == read_outcome(lines)
+
+    @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
+    def test_bad_hand_gives_up(self, hand, mutate):
+        obj = TestBulkHandCheck.two_hands()
+        mutate(obj["hands"][hand])
+        lines = ['{"t": 0, "hands": []}', json.dumps(obj)]
+        assert arrays_outcome(lines) is read_outcome(lines) is None
+
+    @pytest.mark.parametrize("line", [
+        '{"t": 40, "hands": [], "label": ""}', '{"t": 40, "hands": [], "label": 1}',
+        '{"t": 0, "hands": []}', '{"t": 40.0, "hands": []}', '{"t": true, "hands": []}',
+        '{"t": 40, "hands": {}}', '{"t": 40}', '{"hands": []}', '{"t": 40, "hands": [], "x": 1}',
+        '[]', '"One_VRF"', '{"t": 40', '{"t": 40, "hands": [], "label": "\u00e9"}',
+        json.dumps({"t": 40, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}] * 2}),
+        json.dumps({"t": 40, "hands": [{"hd": "L", "pts": [[0.5, 0.5]] * 21}] * 3}),
+    ], ids=["empty-label", "number-label", "same-t", "float-t", "bool-t", "hands-object",
+            "no-hands", "no-t", "extra-key", "list-line", "string-line", "malformed",
+            "non-ascii", "duplicate-hands", "three-hands"])
+    def test_bad_line_gives_up(self, line):
+        lines = ['{"t": 0, "hands": []}', line]
+        assert arrays_outcome(lines) is read_outcome(lines) is None
+
+    def test_escaped_label_is_read(self):
+        lines = [r'{"t": 0, "hands": [], "label": "\u00e9t\u00e9"}']
+        assert arrays_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", {})]
+
+    def test_negative_first_timestamp_gives_up(self):
+        lines = ['{"t": -1, "hands": []}']
+        assert arrays_outcome(lines) is read_outcome(lines) is None
+
+    def test_chunks_restart_frame_numbers(self, monkeypatch):
+        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
+        hand = {"hd": "L", "pts": [[0.25, 0.75]] * 21}
+        lines = [json.dumps({"t": t, "hands": [hand] * (t % 2), "label": str(t)})
+                 for t in range(5)]
+        chunks = list(streams.labelled_arrays(lines))
+        assert [c.labels for c in chunks] == [["0", "1"], ["2", "3"], ["4"]]
+        assert [c.frame_of.tolist() for c in chunks] == [[1], [1], []]
+        assert [c.side.tolist() for c in chunks] == [[1], [1], []]
+        assert arrays_outcome(lines) == read_outcome(lines)
+
+    def test_a_fault_in_a_later_chunk_gives_up(self, monkeypatch):
+        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
+        lines = [json.dumps({"t": t, "hands": []}) for t in range(4)] + ['{"t": 9, "hands": 0}']
+        assert list(streams.labelled_arrays(lines))[-1] is None
+        assert read_outcome(lines) is None
+
+    def test_empty_corpus_has_no_chunks(self):
+        assert list(streams.labelled_arrays(["\n", "  \n"])) == []
+
+
+class _Path:
+    """A path-like object that is neither str nor pathlib.Path."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __fspath__(self):
+        return self.path
+
+
+class TestPathLike:
+    def test_readers_and_writers_take_any_path_like(self, tmp_path):
+        pairs = [(HandFrame(t_ms=0, hands=(make_hand("L"),)), "One_VRF"),
+                 (HandFrame(t_ms=40), "none")]
+        assert write_labelled(_Path(tmp_path / "corpus.jsonl"), pairs) == 2
+        assert list(read_labelled(_Path(tmp_path / "corpus.jsonl"))) == pairs
+        frames = [frame for frame, _ in pairs]
+        assert write_frames(_Path(tmp_path / "frames.jsonl"), frames) == 2
+        assert list(read_frames(_Path(tmp_path / "frames.jsonl"))) == frames

@@ -1,5 +1,6 @@
 """Template geometry and labelled corpus generation."""
 
+import io
 import itertools
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from handwave import (
     DoublePattern,
     FingerStateParams,
+    HandFrame,
     Handedness,
+    LandmarkSet,
     PostureArray,
     SynthError,
     SynthSpec,
@@ -18,6 +21,7 @@ from handwave import (
     posture_array,
     serialize_frame,
     synth_corpus,
+    write_labelled,
 )
 from handwave.model import INDEX_MCP, INDEX_TIP, THUMB_MCP, THUMB_TIP
 
@@ -149,3 +153,49 @@ class TestSynthCorpus:
         deviations = np.concatenate(
             [(f.hands[0].points - base).ravel() for f, _ in synth_corpus(spec)])
         assert abs(float(np.std(deviations)) - 0.01) < 0.002
+
+
+def per_frame_corpus(spec):
+    """synth_corpus as one noise draw per hand per frame: the reference for the bulk draw."""
+    rng = np.random.default_rng(spec.seed)
+    pairs, t = [], 0
+    for name, pattern in spec.gestures:
+        bases = [hand_template(pattern.right, Handedness.RIGHT),
+                 hand_template(pattern.left, Handedness.LEFT)] \
+            if isinstance(pattern, DoublePattern) else [hand_template(pattern)]
+        for _ in range(spec.frames_per_gesture):
+            hands = []
+            for base in bases:
+                noisy = base.points + rng.normal(0.0, spec.jitter_sigma, (21, 2)) \
+                    if spec.jitter_sigma > 0 else base.points.copy()
+                np.clip(noisy, 0.0, 1.0, out=noisy)
+                hands.append(LandmarkSet(points=noisy, handedness=base.handedness))
+            pairs.append((HandFrame(t_ms=t, hands=tuple(hands)), name))
+            t += spec.frame_interval_ms
+    return pairs
+
+
+TWO_HANDED = (
+    ("Both", DoublePattern(right=PostureArray.of(1, 1, 1, 1, 1), left=PostureArray.of(0, 1, 1, 0, 0))),
+    ("Point", PostureArray.of(0, 1, 0, 0, 0)),
+    ("Fists", DoublePattern(right=PostureArray.of(0, 0, 0, 0, 0), left=PostureArray.of(0, 0, 0, 0, 0))),
+    ("Span", PostureArray.of(1, 0, 0, 0, 1)),
+)
+
+
+class TestBulkNoise:
+    @pytest.mark.parametrize("seed", [0, 1, 20261017])
+    @pytest.mark.parametrize("frames", [1, 5, 13])
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.12, 0.3])
+    def test_corpus_bytes_equal_the_per_frame_draws(self, sigma, frames, seed):
+        spec = SynthSpec(gestures=TWO_HANDED, frames_per_gesture=frames,
+                         jitter_sigma=sigma, seed=seed)
+        got, want = io.StringIO(), io.StringIO()
+        pairs = synth_corpus(spec)
+        write_labelled(got, pairs)
+        write_labelled(want, per_frame_corpus(spec))
+        assert got.getvalue() == want.getvalue()
+        for frame, _ in pairs:
+            for hand in frame.hands:
+                assert not (hand.points.flags.writeable or hand.confidences.flags.writeable)
+                assert hand.confidences.tolist() == [1.0] * 21
