@@ -16,6 +16,7 @@ definitions; classification returns the first match, so more specific
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -147,11 +148,15 @@ def posture_array(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_P
     return PostureArray(tuple((code >> shift) & 1 for shift in (4, 3, 2, 1, 0)))
 
 
+def _cursor(pts) -> tuple[float, float]:
+    """The thumb-tip/index-tip midpoint of 21 (x, y) rows, as two floats."""
+    (thumb_x, thumb_y), (index_x, index_y) = pts[THUMB_TIP], pts[INDEX_TIP]
+    return (thumb_x + index_x) / 2.0, (thumb_y + index_y) / 2.0
+
+
 def cursor_point(lms: LandmarkSet) -> Point2:
     """The midpoint between thumb tip and index tip — the pointing cursor."""
-    thumb = lms.points[THUMB_TIP]
-    index = lms.points[INDEX_TIP]
-    return Point2(float((thumb[0] + index[0]) / 2.0), float((thumb[1] + index[1]) / 2.0))
+    return Point2(*_cursor(lms.points.tolist()))
 
 
 def focal_point(lms: LandmarkSet) -> Point2:
@@ -261,7 +266,7 @@ class EngineState:
     streak: int = 0
     active: str | None = None
     active_onset_ms: int | None = None
-    last_cursor: Point2 | None = None
+    last_cursor: tuple[float, float] | None = None  # finite; a Point2 only at an onset
     last_t_ms: int | None = None
 
 
@@ -287,11 +292,22 @@ class GestureEngine:
                 f"frame timestamp {frame.t_ms} does not increase past {state.last_t_ms}")
         state.last_t_ms = frame.t_ms
 
-        if frame.hands:
-            primary = frame.hands[0]  # canonical order puts the right hand first
-            state.last_cursor = cursor_point(primary)
+        # One row list per hand gives its posture code and, for the first
+        # hand, the cursor; a Point2 is built only when an onset carries it.
+        right = left = _ABSENT
+        for i, hand in enumerate(frame.hands):
+            pts = hand.points.tolist()
+            if hand.handedness is Handedness.RIGHT:
+                right = _hand_code(pts, self.params)
+            else:
+                left = _hand_code(pts, self.params)
+            if i == 0:  # canonical order puts the right hand first
+                x, y = _cursor(pts)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    Point2(x, y)  # raises the error cursor_point would
+                state.last_cursor = x, y
 
-        name = _classify_frame(frame, self.registry, self.params)
+        name = self.registry._table[right * _SLOTS + left]
         events: list[GestureEvent] = []
 
         if state.active is not None and name != state.active:
@@ -321,7 +337,7 @@ class GestureEngine:
                     name=name,
                     onset_ms=frame.t_ms,
                     offset_ms=None,
-                    cursor=state.last_cursor,
+                    cursor=None if state.last_cursor is None else Point2(*state.last_cursor),
                 ))
         return events
 
@@ -394,12 +410,15 @@ def save_registry(path: str | Path, registry: GestureRegistry) -> None:
         fh.write("\n")
 
 
+@functools.cache
 def default_registry() -> GestureRegistry:
     """The 16 stock gestures: 4 double-handed entries, then 12 single-handed.
 
     Names follow the numeral/shape convention of the capture set the engine
     was built around; the double-handed entries come first so a two-handed
-    pose wins over the single-handed posture it contains.
+    pose wins over the single-handed posture it contains. The packaged file
+    is parsed once per process and every call returns that one registry,
+    which nothing changes after it is built.
     """
     data = resources.files("handwave").joinpath("data/default_registry.json").read_text("ascii")
     return registry_from_obj(json.loads(data))

@@ -100,11 +100,11 @@ class LandmarkSet:
                 hd = Handedness(hd)
             except ValueError:
                 raise ValidationError(f"handedness: expected 'R' or 'L', got {self.handedness!r}") from None
-        self._freeze(pts, hd, conf)
-
-    def _freeze(self, pts: np.ndarray, hd: Handedness, conf: np.ndarray) -> None:
         pts.setflags(write=False)
         conf.setflags(write=False)
+        self._set(pts, hd, conf)
+
+    def _set(self, pts: np.ndarray, hd: Handedness, conf: np.ndarray) -> None:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "confidences", conf)
         object.__setattr__(self, "handedness", hd)
@@ -114,16 +114,16 @@ class LandmarkSet:
         """Wrap arrays the caller has already checked as ``__post_init__`` would.
 
         ``pts`` must be a finite (21, 2) float64 array and ``conf`` a (21,)
-        float64 array in [0, 1], neither held by any other code; both are
-        frozen here.
+        float64 array in [0, 1], both read-only already (a view of a
+        read-only array is) and written by no other code.
         """
         self = object.__new__(cls)
-        self._freeze(pts, hd, conf)
+        self._set(pts, hd, conf)
         return self
 
     def point(self, index: int) -> Point2:
-        x, y = self.points[index]
-        return Point2(float(x), float(y))
+        x, y = self.points[index].tolist()
+        return Point2(x, y)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LandmarkSet):
@@ -157,6 +157,19 @@ class HandFrame:
             raise ValidationError("hands: duplicate handedness")
         hands = tuple(sorted(hands, key=lambda h: 0 if h.handedness is Handedness.RIGHT else 1))
         object.__setattr__(self, "hands", hands)
+
+    @classmethod
+    def _checked(cls, t_ms: int, hands: tuple[LandmarkSet, ...]) -> "HandFrame":
+        """Wrap values the caller has already checked as ``__post_init__`` would.
+
+        ``t_ms`` must be a non-negative int and ``hands`` a tuple of at most
+        two hands in canonical order: a right hand before a left one, never
+        two of the same side.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "t_ms", t_ms)
+        object.__setattr__(self, "hands", hands)
+        return self
 
     def hand(self, handedness: Handedness) -> LandmarkSet | None:
         for h in self.hands:

@@ -567,9 +567,15 @@ def load_features(source: Iterable[str] | str | Path) -> dict[str, np.ndarray]:
 
 def save_features(path: str | Path, features: Mapping[str, np.ndarray]) -> int:
     """Write a feature dataset as JSONL; returns the row count."""
-    return write_lines(path, ({"subject": subject, "features": [float(v) for v in row]}
-                              for subject in features
-                              for row in np.asarray(features[subject], dtype=np.float64)))
+    def lines():
+        for subject in features:
+            rows = np.asarray(features[subject], dtype=np.float64)
+            if rows.ndim != 2:
+                raise DimensionError(f"features {subject!r}: expected (N, D), got shape {rows.shape}")
+            for row in rows.tolist():
+                yield {"subject": subject, "features": row}
+
+    return write_lines(path, lines())
 
 
 STORE_VERSION = 1
@@ -595,7 +601,7 @@ def save_store(path: str | Path, records: Sequence[EnrollmentRecord],
             {
                 "subject": r.subject_id,
                 "threshold": float(r.threshold),
-                "anchors": [[float(v) for v in row] for row in r.anchors],
+                "anchors": r.anchors.tolist(),
             }
             for r in records
         ],
@@ -637,10 +643,10 @@ def save_params(path: str | Path, params: EncoderParams) -> None:
     """Persist encoder weights as JSON (exact float round trip)."""
     obj = {
         "normalize": params.normalize,
-        "w1": [[float(v) for v in row] for row in params.w1],
-        "b1": [float(v) for v in params.b1],
-        "w2": [[float(v) for v in row] for row in params.w2],
-        "b2": [float(v) for v in params.b2],
+        "w1": params.w1.tolist(),
+        "b1": params.b1.tolist(),
+        "w2": params.w2.tolist(),
+        "b2": params.b2.tolist(),
     }
     write_lines(path, [obj])
 

@@ -138,18 +138,22 @@ def _hand_from_array(obj: Any) -> LandmarkSet | None:
     arr = None if side is None else _unit_values(pairs, confs)
     if arr is None:
         return None
-    arr.setflags(write=False)  # the hand's arrays are views of it
+    arr.setflags(write=False)  # so are its views, the hand's arrays
     n = 2 * NUM_LANDMARKS
-    confidences = arr[n:] if confs else np.ones(NUM_LANDMARKS)
+    if confs:
+        confidences = arr[n:]
+    else:
+        confidences = np.ones(NUM_LANDMARKS)
+        confidences.setflags(write=False)
     return LandmarkSet._checked(arr[:n].reshape(NUM_LANDMARKS, 2), _HANDEDNESS[side], confidences)
 
 
-def frame_from_obj(obj: Any) -> HandFrame:
-    """Build a HandFrame from a decoded JSON object, rejecting schema deviations.
-
-    Each hand is checked in bulk first; only a hand that fails there is walked
-    field by field, so that the error names the field at fault.
-    """
+def _frame_header(obj: Any) -> tuple[int, list]:
+    """The timestamp and the hand list of a frame object, or the error naming its bad field."""
+    if type(obj) is dict and obj.keys() == _FRAME_KEYS:  # the common frame, in one test
+        t, hands = obj["t"], obj["hands"]
+        if type(t) is int and type(hands) is list and len(hands) <= 2:
+            return t, hands
     if not isinstance(obj, dict):
         raise ValidationError(f"frame: expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -167,8 +171,23 @@ def frame_from_obj(obj: Any) -> HandFrame:
         raise ValidationError("hands: expected a list")
     if len(hands_obj) > 2:
         raise ValidationError(f"hands: at most 2 hands per frame, got {len(hands_obj)}")
-    hands = [_hand_from_array(h) or _hand_from_obj(h, f"hands[{i}]")
-             for i, h in enumerate(hands_obj)]
+    return t, hands_obj
+
+
+def frame_from_obj(obj: Any) -> HandFrame:
+    """Build a HandFrame from a decoded JSON object, rejecting schema deviations.
+
+    Each hand is checked in bulk first; only a hand that fails there is walked
+    field by field, so that the error names the field at fault. A frame whose
+    hands come checked and in canonical order is wrapped as it is; any other
+    goes through the HandFrame constructor, which sorts them or names the fault.
+    """
+    t, hands_obj = _frame_header(obj)
+    hands = tuple([_hand_from_array(h) or _hand_from_obj(h, f"hands[{i}]")
+                   for i, h in enumerate(hands_obj)])
+    if t >= 0 and (len(hands) < 2 or (hands[0].handedness is Handedness.RIGHT
+                                      and hands[1].handedness is Handedness.LEFT)):
+        return HandFrame._checked(t, hands)
     return HandFrame(t_ms=t, hands=hands)
 
 

@@ -50,6 +50,10 @@ _THUMB_SPAN = 0.12   # open thumb: lateral tip offset (shallow slope)
 _THUMB_SAG = 0.02
 
 
+# (open bits, side, params) -> the template hand_template built for them.
+_TEMPLATES: dict[tuple, LandmarkSet] = {}
+
+
 def hand_template(posture: PostureArray,
                   handedness: Handedness = Handedness.RIGHT,
                   params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> LandmarkSet:
@@ -57,7 +61,26 @@ def hand_template(posture: PostureArray,
 
     Raises SynthError if the built geometry does not read back as the
     requested posture under ``params`` (possible with extreme thresholds).
+    A template is immutable, so each one built from a PostureArray, a
+    Handedness and a FingerStateParams is built once and then shared; a
+    failure is not kept, and raises again on every call.
     """
+    key = None
+    if type(posture) is PostureArray and type(handedness) is Handedness \
+            and type(params) is FingerStateParams:
+        # Equal postures can spell a bit as 1 or 1.0; the geometry and the
+        # read-back test depend only on which bits are open.
+        key = (tuple(map(bool, posture)), handedness, params)
+        if key in _TEMPLATES:
+            return _TEMPLATES[key]
+    lms = _build_template(posture, handedness, params)
+    if key is not None:
+        _TEMPLATES[key] = lms
+    return lms
+
+
+def _build_template(posture: PostureArray, handedness: Handedness,
+                    params: FingerStateParams) -> LandmarkSet:
     pts = np.zeros((NUM_LANDMARKS, 2), dtype=np.float64)
     for idx, xy in _BASE.items():
         pts[idx] = xy
@@ -151,6 +174,8 @@ def synth_corpus(spec: SynthSpec,
             + rng.normal(0.0, spec.jitter_sigma, shape)
         np.clip(noisy, 0.0, 1.0, out=noisy)  # finite and in [0, 1], as _checked needs
         confidences = np.ones(shape[:-1])
+        noisy.setflags(write=False)  # and read-only, as are its views
+        confidences.setflags(write=False)
         for f in range(frames):
             hands = tuple(LandmarkSet._checked(noisy[f, h], base.handedness, confidences[f, h])
                           for h, base in enumerate(bases))

@@ -177,6 +177,15 @@ class TestRegistry:
         assert all(isinstance(d.pattern, DoublePattern) for d in defs[:4])
         assert len({d.name for d in defs}) == 16
 
+    def test_default_registry_is_parsed_once(self, tmp_path):
+        reg = default_registry()
+        assert default_registry() is reg
+        path = tmp_path / "registry.json"
+        save_registry(path, reg)
+        loaded = [load_registry(path), load_registry(path)]
+        assert loaded[0] is not loaded[1] and reg not in loaded
+        assert all(again.defs == reg.defs and again._table == reg._table for again in loaded)
+
     def test_registry_file_round_trip(self, tmp_path):
         path = tmp_path / "registry.json"
         reg = small_registry()
@@ -330,6 +339,72 @@ class TestEngine:
         arrays = frame_arrays(HandFrame(t_ms=0, hands=(right, left)))
         assert arrays[Handedness.RIGHT] == ONE
         assert arrays[Handedness.LEFT] == FIVE
+
+
+def reference_cursor(lms):
+    """The thumb-tip/index-tip midpoint in numpy float64 arithmetic."""
+    thumb, index = lms.points[THUMB_TIP], lms.points[INDEX_TIP]
+    return Point2(float((thumb[0] + index[0]) / 2.0), float((thumb[1] + index[1]) / 2.0))
+
+
+@st.composite
+def hand_streams(draw):
+    """Frames in runs of one pose (no hand, one hand of either side, or two),
+    each hand a template with per-frame jitter, so that gestures fire."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, t = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        sides = draw(st.sampled_from([(), ("R",), ("L",), ("R", "L"), ("L", "R")]))
+        postures = [draw(st.sampled_from([ONE, TWO, FIVE])) for _ in sides]
+        for _ in range(draw(st.integers(1, 6))):
+            hands = tuple(
+                LandmarkSet(points=np.clip(hand_template(p, Handedness(side)).points
+                                           + rng.normal(0.0, 0.01, (21, 2)), 0.0, 1.0),
+                            handedness=side)
+                for side, p in zip(sides, postures))
+            frames.append(HandFrame(t_ms=t, hands=hands))
+            t += int(rng.integers(1, 50))
+    return frames
+
+
+class TestEngineCursor:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(frames=hand_streams())
+    def test_onset_cursor_is_the_last_hands_cursor(self, frames):
+        reg = small_registry()
+        engine = GestureEngine(reg)
+        last_hand = None
+        active = None
+        for frame in frames:
+            if frame.hands:
+                last_hand = frame.hands[0]
+            name = classify(frame_arrays(frame), reg)
+            for event in engine.step(frame):
+                if event.is_onset:
+                    assert event.name == name and event.onset_ms == frame.t_ms
+                    want = None if last_hand is None else reference_cursor(last_hand)
+                    assert event.cursor == want
+                    assert want is None or event.cursor == cursor_point(last_hand)
+                    assert event.cursor is None or type(event.cursor.x) is float
+                    active = event.name
+                else:
+                    assert event.name == active != name and event.offset_ms == frame.t_ms
+                    active = None
+
+    @pytest.mark.parametrize("y, message", [
+        (1.5e308, "point: coordinates must be finite, got (inf, inf)"),
+        (0.5, "point: coordinates must be finite, got (inf, 0.5)"),
+    ])
+    def test_overflowing_cursor_fails_on_its_frame(self, y, message):
+        engine = GestureEngine(small_registry())
+        assert engine.step(frame_of(ONE, 0)) == []
+        huge = hand_with({THUMB_TIP: (1.5e308, y), INDEX_TIP: (1.5e308, y)})
+        with pytest.raises(ValidationError) as info:
+            engine.step(HandFrame(t_ms=40, hands=(huge,)))
+        assert type(info.value) is ValidationError and str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            cursor_point(huge)
+        assert str(info.value) == message
 
 
 # --- the hand code and the compiled table against the scalar rules ------------

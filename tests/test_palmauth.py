@@ -592,6 +592,39 @@ class TestPersistence:
         with pytest.raises(DimensionError):
             save_store(tmp_path / "s.json", [record], normalize=True, dim=7)
 
+    def test_files_hold_the_per_value_encoding(self, tmp_path):
+        def line(obj):
+            return (json.dumps(obj, separators=(",", ":")) + "\n").encode("ascii")
+
+        def floats(arr):
+            return [[float(v) for v in row] for row in arr]
+
+        rng = np.random.default_rng(71)
+        edge = np.array([[-0.0, 5e-324, 1e16, 1e-05], [0.1, -1.5e308, 1 / 3, 2.0]])
+        feats = {"a": rng.normal(size=(3, 4)), "b": edge, "c": rng.normal(size=(2, 4)) * 1e-7}
+        save_features(tmp_path / "features.jsonl", feats)
+        assert (tmp_path / "features.jsonl").read_bytes() == b"".join(
+            line({"subject": k, "features": row}) for k in feats for row in floats(feats[k]))
+
+        params = init_encoder(4, 6, 3, seed=73)
+        save_params(tmp_path / "params.json", params)
+        assert (tmp_path / "params.json").read_bytes() == line({
+            "normalize": True, "w1": floats(params.w1), "b1": floats([params.b1])[0],
+            "w2": floats(params.w2), "b2": floats([params.b2])[0]})
+
+        records = [enroll("alice", feats["a"], params, threshold=0.4),
+                   enroll("bob", feats["c"], params, threshold=1e-05)]
+        save_store(tmp_path / "store.json", records, normalize=True, dim=3)
+        assert (tmp_path / "store.json").read_bytes() == line({
+            "version": 1, "normalize": True, "dim": 3,
+            "records": [{"subject": r.subject_id, "threshold": float(r.threshold),
+                         "anchors": floats(r.anchors)} for r in records]})
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_feature_rows_must_be_a_matrix(self, tmp_path, shape):
+        with pytest.raises(DimensionError, match=rf"^features 'a': expected \(N, D\), got shape "):
+            save_features(tmp_path / "features.jsonl", {"a": np.ones(shape)})
+
     def test_params_round_trip(self, tmp_path):
         params = init_encoder(6, 5, 4, seed=67, normalize=False)
         path = tmp_path / "params.json"

@@ -332,6 +332,74 @@ class TestBulkHandCheck:
         assert outcome(frame_from_obj, obj) == outcome(walked, obj)
 
 
+# --- the lean frame path against the public constructors --------------------
+
+def constructed(obj):
+    """The frame obj describes, built with the public LandmarkSet and HandFrame."""
+    hands = tuple(LandmarkSet(points=np.array(h["pts"], dtype=np.float64),
+                              handedness=h["hd"], confidences=h.get("conf"))
+                  for h in obj["hands"])
+    return HandFrame(t_ms=obj["t"], hands=hands)
+
+
+# (mutation of a valid two-handed frame, the error the walker and HandFrame give).
+BAD_HEADERS = [
+    (lambda o: o.__setitem__("t", -1), "t: must be non-negative, got -1"),
+    (lambda o: o.__setitem__("t", True), "t: expected integer milliseconds, got True"),
+    (lambda o: o.__setitem__("t", 40.0), "t: expected integer milliseconds, got 40.0"),
+    (lambda o: o.__setitem__("x", 1), "frame: unexpected field 'x'"),
+    (lambda o: o.pop("t"), "frame: missing field 't'"),
+    (lambda o: o.pop("hands"), "frame: missing field 'hands'"),
+    (lambda o: o["hands"].append(o["hands"][0]), "hands: at most 2 hands per frame, got 3"),
+    (lambda o: o["hands"][1].__setitem__("hd", "R"), "hands: duplicate handedness"),
+    (lambda o: o.__setitem__("hands", {}), "hands: expected a list"),
+    (lambda o: o.__setitem__("hands", None), "hands: expected a list"),
+    (lambda o: (o.__setitem__("t", -1), o["hands"][0].__setitem__("hd", "Q")),
+     "hands[0].hd: expected 'L' or 'R', got 'Q'"),
+]
+BAD_HEADER_IDS = ["negative-t", "bool-t", "float-t", "extra-key", "no-t", "no-hands",
+                  "three-hands", "duplicate-side", "hands-object", "null-hands",
+                  "negative-t-bad-hand"]
+
+
+class TestLeanFramePath:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(obj=frame_objs(), zero_t=st.booleans())
+    def test_frames_equal_the_constructed_ones(self, obj, zero_t):
+        if zero_t:
+            obj["t"] = 0
+        want = constructed(obj)
+        for frame in (frame_from_obj(obj), parse_frame(json.dumps(obj))):
+            assert frame == want
+            assert outcome(lambda: frame) == outcome(lambda: want)
+            assert type(frame.hands) is tuple
+
+    def test_canonical_frames_skip_the_constructor(self):
+        obj = TestBulkHandCheck.two_hands()
+        with mock.patch.object(HandFrame, "__post_init__", side_effect=AssertionError):
+            for hands in ([], obj["hands"][:1], obj["hands"][1:], obj["hands"]):
+                frame_from_obj({"t": 0, "hands": hands})
+        obj["hands"].reverse()  # left first: the constructor sorts them
+        with mock.patch.object(HandFrame, "__post_init__", autospec=True,
+                               side_effect=HandFrame.__post_init__) as post_init:
+            frame = frame_from_obj(obj)
+        assert post_init.called
+        assert [h.handedness for h in frame.hands] == [Handedness.RIGHT, Handedness.LEFT]
+
+    @pytest.mark.parametrize("mutate, message", BAD_HEADERS, ids=BAD_HEADER_IDS)
+    def test_bad_header_keeps_its_error(self, mutate, message):
+        obj = TestBulkHandCheck.two_hands()
+        mutate(obj)
+        with pytest.raises(ValidationError) as info:
+            parse_frame(json.dumps(obj))
+        assert type(info.value) is ValidationError and str(info.value) == message
+        assert outcome(frame_from_obj, obj) == (ValidationError, message)
+
+    def test_non_object_frame_keeps_its_error(self):
+        with pytest.raises(ValidationError, match="^frame: expected an object, got list$"):
+            parse_frame("[1]")
+
+
 # --- the labelled corpus as arrays against read_labelled ---------------------
 
 def arrays_outcome(lines):

@@ -23,6 +23,7 @@ from handwave import (
     synth_corpus,
     write_labelled,
 )
+from handwave import synth
 from handwave.model import INDEX_MCP, INDEX_TIP, THUMB_MCP, THUMB_TIP
 
 
@@ -75,6 +76,37 @@ class TestHandTemplate:
         params = FingerStateParams(thumb_min_dx=0.2)
         with pytest.raises(SynthError):
             hand_template(PostureArray.of(1, 0, 0, 0, 0), params=params)
+
+    def test_failures_raise_on_every_call(self):
+        params = FingerStateParams(thumb_min_dx=0.2)
+        spec = SynthSpec(gestures=(("open", PostureArray.of(1, 1, 1, 1, 1)),), frames_per_gesture=2)
+        for _ in range(3):
+            with pytest.raises(SynthError, match=r"^template for \(1, 0, 0, 0, 0\) reads back as "):
+                hand_template(PostureArray.of(1, 0, 0, 0, 0), params=params)
+            with pytest.raises(SynthError):
+                synth_corpus(spec, params)
+
+    def test_templates_are_built_once(self, monkeypatch):
+        posture = PostureArray.of(1, 1, 0, 0, 1)
+        first = hand_template(posture, Handedness.LEFT)
+        assert hand_template(posture, Handedness.LEFT) is first
+        assert hand_template(PostureArray.of(1.0, 1, 0, 0, 1.0), Handedness.LEFT) is first
+        assert hand_template(posture, Handedness.RIGHT) is not first
+        assert hand_template(posture, Handedness.LEFT, FingerStateParams(thumb_min_dx=0.05)) \
+            is not first
+        monkeypatch.setattr(synth, "_TEMPLATES", {})
+        fresh = hand_template(posture, Handedness.LEFT)
+        assert fresh is not first and fresh == first
+        assert not (first.points.flags.writeable or first.confidences.flags.writeable)
+
+    def test_non_posture_arguments_are_not_shared(self):
+        hand_template(PostureArray.of(0, 1, 0, 0, 0))
+        with pytest.raises(SynthError):  # a list never equals the PostureArray it reads back as
+            hand_template([0, 1, 0, 0, 0])
+        one = PostureArray.of(0, 1, 0, 0, 0)
+        spelled = hand_template(one, "L")  # equal to Handedness.LEFT, but not the same key
+        assert spelled is not hand_template(one, Handedness.LEFT)
+        assert spelled == synth._build_template(one, "L", FingerStateParams())
 
 
 class TestSynthSpec:
