@@ -51,6 +51,16 @@ class Handedness(str, Enum):
     LEFT = "L"
 
 
+def as_handedness(value) -> Handedness:
+    """``value`` as a Handedness: a member itself, or its serialized "R" / "L"."""
+    if isinstance(value, Handedness):
+        return value
+    try:
+        return Handedness(value)
+    except ValueError:
+        raise ValidationError(f"handedness: expected 'R' or 'L', got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in normalized image coordinates (finite; y grows downward)."""
@@ -94,12 +104,7 @@ class LandmarkSet:
                 f"confidences: expected {NUM_LANDMARKS} values, got shape {conf.shape}")
         if not (np.isfinite(conf).all() and (conf >= 0.0).all() and (conf <= 1.0).all()):
             raise ValidationError("confidences: values must lie in [0, 1]")
-        hd = self.handedness
-        if not isinstance(hd, Handedness):
-            try:
-                hd = Handedness(hd)
-            except ValueError:
-                raise ValidationError(f"handedness: expected 'R' or 'L', got {self.handedness!r}") from None
+        hd = as_handedness(self.handedness)
         pts.setflags(write=False)
         conf.setflags(write=False)
         self._set(pts, hd, conf)

@@ -59,7 +59,13 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Entry [i, j] equals ``euclidean_distance(a[i], b[j])`` bit for bit; the
     expanded ||a||^2 + ||b||^2 - 2 a.b would round differently.
     """
-    return np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+    return np.sqrt(_squared_distances(a, b))
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # One expression on purpose: squaring a named difference as diff * diff
+    # keeps a second (N, M, D) temporary alive.
+    return np.add.reduce((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
 
 
 def _as_batch(name: str, values) -> np.ndarray:
@@ -193,14 +199,25 @@ def encoder_forward(params: EncoderParams, x) -> np.ndarray:
     single = arr.ndim == 1
     batch = arr[None, :] if single else arr
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
-        raise DimensionError(
-            f"features: expected inner dimension {params.input_dim}, got shape {arr.shape}")
-    hidden = np.maximum(batch @ params.w1.T + params.b1, 0.0)
-    out = hidden @ params.w2.T + params.b2
+        raise _inner_dimension_error(params, arr.shape)
+    # Each matmul returns a fresh array, so bias, ReLU and the division run
+    # in place; the rounding is that of the out-of-place expressions.
+    hidden = batch @ params.w1.T
+    hidden += params.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ params.w2.T
+    out += params.b2
     if params.normalize:
-        norms = np.maximum(np.linalg.norm(out, axis=1, keepdims=True), NORMALIZE_EPS)
-        out = out / norms
+        # What np.linalg.norm(out, axis=1) computes for real input, without
+        # its dispatch.
+        norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+        out /= np.maximum(norms, NORMALIZE_EPS, out=norms)
     return out[0] if single else out
+
+
+def _inner_dimension_error(params: EncoderParams, shape: tuple) -> DimensionError:
+    return DimensionError(
+        f"features: expected inner dimension {params.input_dim}, got shape {shape}")
 
 
 def _backward_through_encoder(params: EncoderParams, x: np.ndarray,
@@ -459,11 +476,15 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     probe = np.asarray(feature, dtype=np.float64)
     if probe.ndim != 1:
         raise DimensionError(f"probe: expected a vector, got shape {probe.shape}")
-    embedded = encoder_forward(params, probe)
-    if record.anchors.shape[1] != embedded.shape[0]:
+    if probe.shape[0] != params.input_dim:
+        raise _inner_dimension_error(params, probe.shape)
+    embedded = encoder_forward(params, probe[None, :])
+    if record.anchors.shape[1] != embedded.shape[1]:
         raise DimensionError(
-            f"probe embedding dimension {embedded.shape[0]} != enrolled {record.anchors.shape[1]}")
-    distance = float(pairwise_distances(record.anchors, embedded[None, :]).min())
+            f"probe embedding dimension {embedded.shape[1]} != enrolled {record.anchors.shape[1]}")
+    # sqrt is monotone and correctly rounded, so the root of the least squared
+    # distance is the least of the rooted distances, bit for bit.
+    distance = math.sqrt(_squared_distances(record.anchors, embedded).min())
     return AuthDecision(accepted=distance <= record.threshold,
                         distance=distance, subject_id=record.subject_id)
 

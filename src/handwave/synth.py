@@ -32,6 +32,7 @@ from .model import (
     Handedness,
     LandmarkSet,
     PostureArray,
+    as_handedness,
 )
 
 # Right-hand rest pose. Fingers hang from their MCP row; the thumb sits low
@@ -63,11 +64,12 @@ def hand_template(posture: PostureArray,
     requested posture under ``params`` (possible with extreme thresholds).
     A template is immutable, so each one built from a PostureArray, a
     Handedness and a FingerStateParams is built once and then shared; a
-    failure is not kept, and raises again on every call.
+    failure is not kept, and raises again on every call. A side given as
+    "R" or "L" is the Handedness it serializes as.
     """
+    handedness = as_handedness(handedness)
     key = None
-    if type(posture) is PostureArray and type(handedness) is Handedness \
-            and type(params) is FingerStateParams:
+    if type(posture) is PostureArray and type(params) is FingerStateParams:
         # Equal postures can spell a bit as 1 or 1.0; the geometry and the
         # read-back test depend only on which bits are open.
         key = (tuple(map(bool, posture)), handedness, params)

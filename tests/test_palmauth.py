@@ -3,9 +3,13 @@ training, enrollment/verification, and ROC calibration."""
 
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handwave import (
     AdamState,
@@ -13,6 +17,7 @@ from handwave import (
     DimensionError,
     EmptyBatchError,
     EncoderParams,
+    EnrollmentRecord,
     NumericsError,
     adam_step,
     encoder_backward,
@@ -34,7 +39,7 @@ from handwave import (
     triplet_loss,
     verify,
 )
-from handwave.palmauth import pairwise_distances
+from handwave.palmauth import NORMALIZE_EPS, pairwise_distances
 
 FD_H = 1e-5
 FD_TOL = 1e-4
@@ -76,6 +81,24 @@ class TestEuclideanDistance:
         for i in range(n):
             for j in range(m):
                 assert got[i, j] == euclidean_distance(a[i], b[j])
+
+    def test_pairwise_peak_memory_is_one_temporary(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(240, 32)), rng.normal(size=(240, 32))
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            pairwise_distances(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # The (N, M, D) difference is squared in place; a second live copy
+        # would double the peak.
+        assert peak - before < 1.5 * 240 * 240 * 32 * 8
 
     def test_metric_axioms_on_embeddings(self):
         rng = np.random.default_rng(2)
@@ -494,6 +517,73 @@ class TestEnrollVerify:
         record = enroll("hal", np.ones((1, 5)), params, threshold=0.5)
         with pytest.raises(DimensionError):
             verify(np.ones(6), record, params)
+        narrow = EnrollmentRecord("ida", np.zeros((2, 3)), 0.5)
+        # Checked in this order: the probe's rank, its width, then the record.
+        for probe, rec, message in (
+                (np.ones((2, 5)), record, "probe: expected a vector, got shape (2, 5)"),
+                (np.ones((1, 6)), narrow, "probe: expected a vector, got shape (1, 6)"),
+                (np.ones(6), record, "features: expected inner dimension 5, got shape (6,)"),
+                ([1.0] * 4, narrow, "features: expected inner dimension 5, got shape (4,)"),
+                (np.ones(5), narrow, "probe embedding dimension 4 != enrolled 3")):
+            with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+                verify(probe, rec, params)
+
+
+def oracle_forward(params, x):
+    """The encoder as first written: out-of-place steps and np.linalg.norm."""
+    batch = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    hidden = np.maximum(batch @ params.w1.T + params.b1, 0.0)
+    out = hidden @ params.w2.T + params.b2
+    if params.normalize:
+        out = out / np.maximum(np.linalg.norm(out, axis=1, keepdims=True), NORMALIZE_EPS)
+    return out
+
+
+def oracle_distance(probe, record, params):
+    """The least of the rooted anchor distances, as verify first took it."""
+    embedded = oracle_forward(params, probe)
+    return float(np.sqrt(np.sum((record.anchors - embedded) ** 2, axis=1)).min())
+
+
+def float_bits(value):
+    return np.float64(value).tobytes()
+
+
+class TestVerifyOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+           anchors=st.integers(1, 20), normalize=st.booleans(),
+           weights=st.sampled_from(["uniform", "large", "tiny", "zero_head"]),
+           probe_kind=st.sampled_from(["normal", "far", "nan"]),
+           threshold=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_first_formulas_bit_for_bit(self, dims, anchors, normalize, weights,
+                                                    probe_kind, threshold, seed):
+        input_dim, hidden_dim, embed_dim = dims
+        rng = np.random.default_rng(seed)
+        scale = {"uniform": 0.05, "large": 3.0, "tiny": 1e-15, "zero_head": 0.05}[weights]
+        params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng,
+                              normalize=normalize, init_scale=scale)
+        if weights == "zero_head":  # every embedding is exactly zero
+            params = params.with_arrays({**params.as_dict(), "w2": np.zeros_like(params.w2),
+                                         "b2": np.zeros_like(params.b2)})
+        samples = rng.normal(size=(anchors, input_dim))
+        probe = rng.normal(size=input_dim) * (1e6 if probe_kind == "far" else 1.0)
+        if probe_kind == "nan":
+            probe[rng.integers(input_dim)] = np.nan
+
+        record = enroll("s", samples, params, threshold)
+        assert record.anchors.tobytes() == oracle_forward(params, samples).tobytes()
+        assert encoder_forward(params, probe).tobytes() == \
+            oracle_forward(params, probe)[0].tobytes()
+        decision = verify(probe, record, params)
+        want = oracle_distance(probe, record, params)
+        assert float_bits(decision.distance) == float_bits(want)
+        assert type(decision.distance) is float
+        assert decision.accepted is (want <= threshold)
+        if probe_kind == "nan":
+            assert math.isnan(decision.distance) and not decision.accepted
+        elif weights == "zero_head":
+            assert decision.distance == 0.0 and decision.accepted
 
 
 class TestRoc:

@@ -103,10 +103,19 @@ class TestHandTemplate:
         hand_template(PostureArray.of(0, 1, 0, 0, 0))
         with pytest.raises(SynthError):  # a list never equals the PostureArray it reads back as
             hand_template([0, 1, 0, 0, 0])
+
+    def test_side_spelled_as_a_string_is_that_side(self, monkeypatch):
+        monkeypatch.setattr(synth, "_TEMPLATES", {})
         one = PostureArray.of(0, 1, 0, 0, 0)
-        spelled = hand_template(one, "L")  # equal to Handedness.LEFT, but not the same key
-        assert spelled is not hand_template(one, Handedness.LEFT)
-        assert spelled == synth._build_template(one, "L", FingerStateParams())
+        spelled = hand_template(one, "L")
+        built = synth._build_template(one, Handedness.LEFT, FingerStateParams())
+        assert spelled.handedness is Handedness.LEFT
+        assert spelled.points.tobytes() == built.points.tobytes()
+        assert spelled.points.tobytes() != hand_template(one, "R").points.tobytes()
+        assert hand_template(one, Handedness.LEFT) is spelled  # one cache entry per side
+        assert hand_template(one, "R") is hand_template(one, Handedness.RIGHT)
+        with pytest.raises(ValidationError, match=r"^handedness: expected 'R' or 'L', got 'X'$"):
+            hand_template(one, "X")
 
 
 class TestSynthSpec:
