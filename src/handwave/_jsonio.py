@@ -20,7 +20,7 @@ from .errors import HandwaveError, ParseError
 NUMBER_ERRORS = (TypeError, ValueError, OverflowError)
 
 
-def open_text(path: str | os.PathLike):
+def _open_text(path: str | os.PathLike):
     """Open a file handwave reads as text.
 
     Bytes above 0x7f become lone surrogates, which the JSON readers report.
@@ -42,14 +42,14 @@ def _loads(text: str, where: str, error: type[HandwaveError]) -> Any:
 
 def read_json(path: str | os.PathLike, what: str, error: type[HandwaveError]) -> Any:
     """Decode a whole-file JSON document; failures read ``<what>: ...``."""
-    with open_text(path) as fh:
+    with _open_text(path) as fh:
         return _loads(fh.read(), f"{what}: ", error)
 
 
 def json_lines(source: Iterable[str] | str | os.PathLike,
                error: type[HandwaveError] = ParseError) -> Iterator[tuple[int, Any]]:
     """Yield (line_no, obj) for each non-blank line of a path or an iterable of str."""
-    opened = open_text(source) if isinstance(source, (str, os.PathLike)) else nullcontext(source)
+    opened = _open_text(source) if isinstance(source, (str, os.PathLike)) else nullcontext(source)
     with opened as lines:
         for n, line in enumerate(lines, start=1):
             if line.strip():

@@ -8,6 +8,7 @@ display never suffers float drift, while recall is rounded to two decimals.
 
 from __future__ import annotations
 
+import os
 from typing import Iterable
 
 import numpy as np
@@ -41,17 +42,11 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     return tally.report()
 
 
-def evaluate_corpus(lines: Iterable[str], registry: GestureRegistry,
-                    params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport | None:
-    """evaluate(read_labelled(lines), registry, params), scored as arrays.
-
-    Returns None where labelled_arrays gives up, which is where read_labelled
-    would raise: read the lines again with it to get the error.
-    """
+def evaluate_corpus(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
+                    params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport:
+    """evaluate(read_labelled(source), registry, params), read once and scored as arrays."""
     tally = _Tally()
-    for chunk in labelled_arrays(lines):
-        if chunk is None:
-            return None
+    for chunk in labelled_arrays(source):
         names = _classify_hands(chunk.points, chunk.frame_of, chunk.side, len(chunk.labels),
                                 registry, params)
         for label, name in zip(chunk.labels, names):

@@ -641,6 +641,9 @@ def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
         entries = obj["records"]
     except (KeyError, *NUMBER_ERRORS) as exc:
         raise DataError(f"store: missing or bad field ({exc})") from exc
+    for key, kind in (("normalize", bool), ("dim", int)):  # not "false" (truthy), 2.9 or "2"
+        if type(obj[key]) is not kind:
+            raise DataError(f"store: missing or bad field ({key!r})")
     if not isinstance(entries, list):
         raise DataError("store: records must be a list")
     records = []
@@ -675,7 +678,7 @@ def save_params(path: str | Path, params: EncoderParams) -> None:
 def load_params(path: str | Path) -> EncoderParams:
     obj = read_json(path, "params", DataError)
     try:
-        return EncoderParams(
+        params = EncoderParams(
             w1=np.asarray(obj["w1"], dtype=np.float64),
             b1=np.asarray(obj["b1"], dtype=np.float64),
             w2=np.asarray(obj["w2"], dtype=np.float64),
@@ -684,4 +687,7 @@ def load_params(path: str | Path) -> EncoderParams:
         )
     except (KeyError, *NUMBER_ERRORS) as exc:
         raise DataError(f"params: missing or bad field ({exc})") from exc
+    if type(obj["normalize"]) is not bool:  # bool("false") is True
+        raise DataError("params: missing or bad field ('normalize')")
+    return params
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import os
 from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple, TextIO
+from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
 from ._jsonio import at_line, dumps, json_lines, write_lines
-from .errors import HandwaveError, ParseError, StreamOrderError, ValidationError
+from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
 _FRAME_KEYS = {"t", "hands"}
@@ -270,14 +270,10 @@ def write_frames(dest: TextIO | str | os.PathLike, frames: Iterable[HandFrame]) 
     return write_lines(dest, map(_line_obj, frames))
 
 
-def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[HandFrame, str]]:
-    """Yield (frame, label) pairs from a labelled corpus.
-
-    Lines without a "label" field yield the label "none". Timestamp ordering
-    is enforced exactly as in read_frames.
-    """
-    last_t: int | None = None
-    for n, obj in json_lines(source):
+def _labelled_pairs(numbered: Iterable[tuple[int, Any]],
+                    last_t: int | None = None) -> Iterator[tuple[HandFrame, str]]:
+    """read_labelled's checks over (line number, object) pairs, in order after ``last_t``."""
+    for n, obj in numbered:
         with at_line(n):
             if not isinstance(obj, dict):
                 raise ValidationError("expected an object")
@@ -287,6 +283,15 @@ def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[H
             frame = frame_from_obj(obj)
             last_t = _check_order(frame, last_t)
         yield frame, label
+
+
+def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[HandFrame, str]]:
+    """Yield (frame, label) pairs from a labelled corpus.
+
+    Lines without a "label" field yield the label "none". Timestamp ordering
+    is enforced exactly as in read_frames.
+    """
+    return _labelled_pairs(json_lines(source))
 
 
 class LabelledArrays(NamedTuple):
@@ -299,57 +304,62 @@ class LabelledArrays(NamedTuple):
 
 
 _CHUNK_FRAMES = 1024  # bounds the decoded JSON held at once
+_LABELLED_KEYS = _FRAME_KEYS | {"label"}
 
 
-def labelled_arrays(lines: Iterable[str]) -> Iterator[LabelledArrays | None]:
-    """The frames read_labelled(lines) yields, in chunks of arrays.
+def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[LabelledArrays]:
+    """The frames read_labelled(source) yields, in chunks of arrays, reading it once.
 
     Every check read_labelled makes is repeated, in bulk where it can be:
     exact types, keys, labels, timestamp order and distinct sides per line,
-    then one type and range check per chunk. At the first failure, an error
-    of the JSON reader included, this yields None and stops; reading the
-    lines again with read_labelled then raises the error that names the line
-    and field at fault. No LandmarkSet is built on this path.
+    then one type and range check per chunk. At the first failure, a JSON
+    reader's error included, read_labelled's checks run over the chunk's lines
+    and raise its error naming the line and field; only they build LandmarkSets.
     """
-    def chunk() -> LabelledArrays | None:
+    def recheck(fault: ParseError | None = None) -> NoReturn:
+        list(_labelled_pairs(lines, before))  # raises at the first line at fault
+        raise fault or AssertionError("labelled_arrays rejected lines read_labelled accepts")
+
+    def chunk() -> LabelledArrays:
         arr = _unit_values(pairs, confs)
-        return None if arr is None else LabelledArrays(
+        if arr is None:
+            recheck()
+        return LabelledArrays(
             labels, arr[:2 * len(pairs)].reshape(-1, NUM_LANDMARKS, 2),
             np.array(frame_of, dtype=np.intp), np.array(side, dtype=np.intp))
 
+    before: int | None = None  # the last timestamp before the chunk
     last_t = -1  # below every valid first timestamp
+    lines: list[tuple[int, Any]] = []  # the chunk's (line number, object) pairs, kept whole
     labels: list[str] = []
     pairs: list = []  # every [x, y] of the chunk
     confs: list = []  # every confidence of the chunk
     frame_of: list[int] = []
     side: list[int] = []
     try:
-        for _, obj in json_lines(lines):
+        for n, obj in json_lines(source):
+            lines.append((n, obj))
             if type(obj) is not dict:
-                break
-            label = obj.pop("label", "none")
-            t, hands = obj.get("t"), obj.get("hands")
-            if type(label) is not str or not label or obj.keys() != _FRAME_KEYS \
+                recheck()
+            label, t, hands = obj.get("label", "none"), obj.get("t"), obj.get("hands")
+            if type(label) is not str or not label or not obj.keys() <= _LABELLED_KEYS \
                     or type(t) is not int or t <= last_t \
                     or type(hands) is not list or len(hands) > 2:
-                break
+                recheck()
             sides = [_hand_fields(hand, pairs, confs) for hand in hands]
             if None in sides or len(set(sides)) < len(sides):
-                break
+                recheck()
             frame_of += [len(labels)] * len(sides)
             side += sides
             labels.append(label)
             last_t = t
             if len(labels) == _CHUNK_FRAMES:
                 yield chunk()
-                labels, pairs, confs, frame_of, side = [], [], [], [], []
-        else:
-            if labels:
-                yield chunk()
-            return
-    except HandwaveError:
-        pass
-    yield None
+                before, lines, labels, pairs, confs, frame_of, side = last_t, [], [], [], [], [], []
+    except ParseError as exc:  # the JSON reader's; an earlier line of the chunk comes first
+        recheck(exc)
+    if labels:
+        yield chunk()
 
 
 def write_labelled(dest: TextIO | str | os.PathLike, pairs: Iterable[tuple[HandFrame, str]]) -> int:

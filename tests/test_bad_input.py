@@ -134,6 +134,8 @@ FRAME = {"t": 0, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}]}
 ANCHORS = {"layers": [{"grid_w": 1, "grid_h": 1, "scales": [0.5], "aspect_ratios": [1.0]}]}
 STORE = {"version": 1, "normalize": True, "dim": 2,
          "records": [{"subject": "s0", "threshold": 0.5, "anchors": [[0.6, 0.8]]}]}
+PARAMS = {"normalize": True, "w1": [[0.5] * 4] * 4, "b1": [0.0] * 4,
+          "w2": [[0.5] * 4] * 2, "b2": [0.0] * 2}
 
 
 def _with(obj, **fields):
@@ -240,6 +242,14 @@ BAD_INPUTS = [
      "error: store: records[0]: missing or bad field"),
     ("store-dim-infinite", "verify", "store.json", _with(STORE, dim=float("inf")),
      "error: store: missing or bad field"),
+    ("store-normalize-string", "verify", "store.json", _with(STORE, normalize="false"),
+     "error: store: missing or bad field ('normalize')\n"),
+    ("store-dim-fraction", "verify", "store.json", _with(STORE, dim=2.9),
+     "error: store: missing or bad field ('dim')\n"),
+    ("store-dim-bool", "verify", "store.json", _with(STORE, dim=True),
+     "error: store: missing or bad field ('dim')\n"),
+    ("params-normalize-string", "roc", "params.json", _with(PARAMS, normalize="false"),
+     "error: params: missing or bad field ('normalize')\n"),
     ("roc-one-subject", "roc", "data.jsonl", _features("s0", "s0", "s0"), NO_PAIRS),
     ("roc-one-sample-each", "roc", "data.jsonl", _features("s0", "s1", "s2"), NO_PAIRS),
     ("probe-non-numeric", "verify", "probe.json", b'{"features": ["a", 1, 2, 3]}',

@@ -1,5 +1,6 @@
 """End-to-end command-line flows, run in-process through main()."""
 
+import contextlib
 import json
 import math
 import subprocess
@@ -27,7 +28,7 @@ from handwave import (
     synth_corpus,
     write_frames,
 )
-from handwave import cli
+from handwave import _jsonio, cli
 from handwave.cli import main
 
 
@@ -375,6 +376,25 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_bad_corpus_is_opened_and_read_once(self, capsys, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"t": 0, "hands": []}\n' * 2 + '{"t": 1, "hands": []}\n')
+        opened, read = [], []
+        real = _jsonio._open_text
+
+        @contextlib.contextmanager
+        def counting(path):
+            opened.append(path)
+            with real(path) as fh:
+                yield (read.append(line) or line for line in fh)
+
+        monkeypatch.setattr(_jsonio, "_open_text", counting)
+        code, out, err = run_cli(capsys, "eval", "--corpus", str(corpus))
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: timestamp 0 does not increase past 0\n"
+        assert opened == [str(corpus)]
+        assert len(read) == 2  # up to the line at fault, once
+
     def test_bad_transport_uri(self, capsys, tmp_path):
         frames = TestReplayTrack.frames_path(tmp_path, frames_per_gesture=1)
         code, _, err = run_cli(capsys, "track", "--frames", str(frames),
@@ -412,6 +432,22 @@ class TestModuleEntry:
             capture_output=True, text=True, timeout=60)
         assert result.returncode == 0
         assert len(result.stdout.splitlines()) == 16
+
+    @pytest.mark.parametrize("tail, code", [("", 0), ('{"t": 0, "hands": []}\n', 1)],
+                             ids=["valid", "bad"])
+    def test_eval_reads_a_pipe_as_it_reads_a_file(self, tmp_path, tail, code):
+        def run(*argv, text=None):
+            result = subprocess.run([sys.executable, "-m", "handwave", *argv], input=text,
+                                    capture_output=True, text=True, timeout=60)
+            return result.returncode, result.stdout, result.stderr
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(run("synth", "--frames", "2", "--seed", "1")[1] + tail)
+        from_file = run("eval", "--corpus", str(corpus))
+        assert from_file[0] == code
+        assert run("eval", "--corpus", "/dev/stdin", text=corpus.read_text()) == from_file
+        if code:
+            assert from_file[2] == "error: line 33: timestamp 0 does not increase past 1240\n"
 
     def test_usage_on_no_args(self):
         result = subprocess.run(

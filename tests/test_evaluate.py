@@ -13,6 +13,7 @@ from handwave import (
     GestureDef,
     GestureRegistry,
     PostureArray,
+    StreamOrderError,
     SynthSpec,
     default_registry,
     evaluate,
@@ -143,9 +144,11 @@ class TestEvaluateCorpus:
         want = evaluate(read_labelled(lines), registry, params)
         assert scored(evaluate_corpus(lines, registry, params)) == scored(want)
 
-    def test_rejected_corpus_gives_none(self):
+    def test_rejected_corpus_raises_the_line_error(self):
         lines = ['{"t": 0, "hands": []}', '{"t": 0, "hands": []}']
-        assert evaluate_corpus(lines, small_registry()) is None
+        with pytest.raises(StreamOrderError,
+                           match="^line 2: timestamp 0 does not increase past 0$"):
+            evaluate_corpus(lines, small_registry())
 
     def test_empty_corpus_rejected_as_evaluate_rejects_it(self):
         with pytest.raises(DataError, match="^evaluate: the labelled stream is empty$"):

@@ -403,27 +403,35 @@ class TestLeanFramePath:
 # --- the labelled corpus as arrays against read_labelled ---------------------
 
 def arrays_outcome(lines):
-    """labelled_arrays' frames as (label, {side: point bytes}), or None where it gave up."""
+    """labelled_arrays' frames as (label, {side: point bytes}), or its error's (type, text)."""
     frames = []
-    for chunk in streams.labelled_arrays(lines):
-        if chunk is None:
-            return None
-        assert chunk.points.dtype == np.float64 and chunk.points.shape[1:] == (21, 2)
-        assert len(chunk.points) == len(chunk.frame_of) == len(chunk.side)
-        these = [(label, {}) for label in chunk.labels]
-        for pts, f, side in zip(chunk.points, chunk.frame_of, chunk.side):
-            these[f][1]["RL"[side]] = pts.tobytes()
-        frames += these
+    try:
+        for chunk in streams.labelled_arrays(lines):
+            assert chunk.points.dtype == np.float64 and chunk.points.shape[1:] == (21, 2)
+            assert len(chunk.points) == len(chunk.frame_of) == len(chunk.side)
+            these = [(label, {}) for label in chunk.labels]
+            for pts, f, side in zip(chunk.points, chunk.frame_of, chunk.side):
+                these[f][1]["RL"[side]] = pts.tobytes()
+            frames += these
+    except HandwaveError as exc:
+        return type(exc), str(exc)
     return frames
 
 
 def read_outcome(lines):
-    """The same from read_labelled, or None where it raises."""
+    """The same from read_labelled."""
     try:
         return [(label, {h.handedness.value: h.points.tobytes() for h in frame.hands})
                 for frame, label in read_labelled(lines)]
-    except HandwaveError:
-        return None
+    except HandwaveError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_error(lines):
+    """labelled_arrays raises what read_labelled raises on ``lines``, type and text."""
+    error = read_outcome(lines)
+    assert type(error) is tuple
+    assert arrays_outcome(lines) == error
 
 
 ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 2, 21, 1.5, -0.0, 5e-324, 10**400, "R", "L",
@@ -465,18 +473,23 @@ def corpus_lines(draw):
     return [json.dumps(obj) + "\n" for obj in objs]
 
 
+def _one_hand_at(x):
+    """One right hand whose first point's x is ``x`` and every other value 0.5."""
+    return [{"hd": "R", "pts": [[x, 0.5]] + [[0.5, 0.5]] * 20}]
+
+
 class TestLabelledArrays:
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(lines=corpus_lines())
-    def test_arrays_hold_what_read_labelled_reads(self, lines):
-        assert arrays_outcome(lines) == read_outcome(lines)
+    @given(lines=corpus_lines(), chunk_frames=st.sampled_from([1, 2, streams._CHUNK_FRAMES]))
+    def test_arrays_hold_what_read_labelled_reads(self, lines, chunk_frames):
+        with mock.patch.object(streams, "_CHUNK_FRAMES", chunk_frames):
+            assert arrays_outcome(lines) == read_outcome(lines)
 
     @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
     def test_bad_hand_gives_up(self, hand, mutate):
         obj = TestBulkHandCheck.two_hands()
         mutate(obj["hands"][hand])
-        lines = ['{"t": 0, "hands": []}', json.dumps(obj)]
-        assert arrays_outcome(lines) is read_outcome(lines) is None
+        assert_same_error(['{"t": 0, "hands": []}', json.dumps(obj)])
 
     @pytest.mark.parametrize("line", [
         '{"t": 40, "hands": [], "label": ""}', '{"t": 40, "hands": [], "label": 1}',
@@ -489,16 +502,14 @@ class TestLabelledArrays:
             "no-hands", "no-t", "extra-key", "list-line", "string-line", "malformed",
             "non-ascii", "duplicate-hands", "three-hands"])
     def test_bad_line_gives_up(self, line):
-        lines = ['{"t": 0, "hands": []}', line]
-        assert arrays_outcome(lines) is read_outcome(lines) is None
+        assert_same_error(['{"t": 0, "hands": []}', line])
 
     def test_escaped_label_is_read(self):
         lines = [r'{"t": 0, "hands": [], "label": "\u00e9t\u00e9"}']
         assert arrays_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", {})]
 
     def test_negative_first_timestamp_gives_up(self):
-        lines = ['{"t": -1, "hands": []}']
-        assert arrays_outcome(lines) is read_outcome(lines) is None
+        assert_same_error(['{"t": -1, "hands": []}'])
 
     def test_chunks_restart_frame_numbers(self, monkeypatch):
         monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
@@ -514,8 +525,32 @@ class TestLabelledArrays:
     def test_a_fault_in_a_later_chunk_gives_up(self, monkeypatch):
         monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
         lines = [json.dumps({"t": t, "hands": []}) for t in range(4)] + ['{"t": 9, "hands": 0}']
-        assert list(streams.labelled_arrays(lines))[-1] is None
-        assert read_outcome(lines) is None
+        chunks = streams.labelled_arrays(lines)
+        assert [next(chunks).labels, next(chunks).labels] == [["none"] * 2] * 2
+        with pytest.raises(ValidationError, match="^line 5: hands: expected a list$"):
+            next(chunks)
+        assert_same_error(lines)
+
+    @pytest.mark.parametrize("edits, error, message", [
+        ({2: {"t": 1}}, StreamOrderError, "line 3: timestamp 1 does not increase past 1"),
+        ({3: {"hands": _one_hand_at(1.5)}}, ValidationError,
+         "line 4: hands[0].pts[0].x: must lie in [0, 1], got 1.5"),
+        ({2: {"hands": _one_hand_at(True)}, 3: '{"t": 3, "hands": ['}, ValidationError,
+         "line 3: hands[0].pts[0].x: expected a number, got True"),
+        ({2: {"hands": _one_hand_at(-0.5)}, 3: {"x": 1}}, ValidationError,
+         "line 3: hands[0].pts[0].x: must lie in [0, 1], got -0.5"),
+        ({4: {"hands": _one_hand_at("0.5")}}, ValidationError,
+         "line 5: hands[0].pts[0].x: expected a number, got '0.5'"),
+    ], ids=["order-opens-a-chunk", "value-in-a-later-chunk", "value-then-malformed-json",
+            "value-then-unexpected-key", "value-in-the-partial-chunk"])
+    def test_a_fault_near_a_chunk_boundary_is_named(self, monkeypatch, edits, error, message):
+        """Five one-hand lines in chunks of two; an edit is a line's text or fields to set."""
+        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
+        objs = [{"t": t, "hands": _one_hand_at(0.5), "label": "A"} for t in range(5)]
+        lines = [json.dumps(obj) for obj in objs]
+        for i, edit in edits.items():
+            lines[i] = edit if isinstance(edit, str) else json.dumps({**objs[i], **edit})
+        assert arrays_outcome(lines) == read_outcome(lines) == (error, message)
 
     def test_empty_corpus_has_no_chunks(self):
         assert list(streams.labelled_arrays(["\n", "  \n"])) == []
