@@ -54,15 +54,24 @@ def _load_config(path: str | None) -> dict:
 
 
 def _setting(config: dict, section: str, key: str, default, kind=float):
-    """One numeric setting of a config section, converted by ``kind``."""
+    """One numeric setting of a config section, converted by ``kind``.
+
+    Only a JSON number is taken: ``true`` and ``"0.5"`` convert but are
+    rejected, and an integer setting rejects a fraction instead of truncating.
+    """
     part = config.get(section, {})
     if not isinstance(part, dict):
         raise ConfigError(f"config: {section} must be an object")
     value = part.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except NUMBER_ERRORS:
-        raise ConfigError(f"config: {section}.{key} must be a number, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, (bool, str)):
+        raise ConfigError(f"config: {section}.{key} must be a number, got {value!r}")
+    if kind is int and number != value:
+        raise ConfigError(f"config: {section}.{key} must be an integer, got {value!r}")
+    return number
 
 
 def _finger_params(config: dict) -> gestures.FingerStateParams:

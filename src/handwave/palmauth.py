@@ -12,7 +12,9 @@ hinged margin loss
     L = reduce_i max(0, ||f(a_i) - f(p_i)||^2 - ||f(a_i) - f(n_i)||^2 + alpha)
 
 reduced by the mean (the default) or the plain sum. All gradients here are
-exact analytic derivatives of that expression; adam_step applies the standard
+exact analytic derivatives of that expression. Training runs the network once
+per batch and differentiates that same pass, with one evaluation of the hinge
+for both the loss and its gradient; adam_step applies the standard
 bias-corrected Adam update. Verification compares a probe embedding against a
 subject's enrolled anchor embeddings: the distance is the minimum over
 anchors, accepted iff it does not exceed the record's threshold. roc_sweep
@@ -89,16 +91,26 @@ def _triplet_batches(anchor, positive, negative) -> tuple[np.ndarray, np.ndarray
     return a, p, n
 
 
-def triplet_loss(anchor, positive, negative, alpha: float = 0.2,
-                 reduction: str = "mean") -> float:
-    """Hinged squared-distance margin loss over one or more triplets."""
+def _triplet_terms(anchor, positive, negative, alpha: float,
+                   reduction: str) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The loss and its three batch gradients, from one evaluation of the hinge."""
     if reduction not in _REDUCTIONS:
         raise ValidationError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
     a, p, n = _triplet_batches(anchor, positive, negative)
-    d_ap = np.sum((a - p) ** 2, axis=1)
-    d_an = np.sum((a - n) ** 2, axis=1)
-    per = np.maximum(0.0, d_ap - d_an + alpha)
-    return float(per.mean() if reduction == "mean" else per.sum())
+    margin = np.sum((a - p) ** 2, axis=1) - np.sum((a - n) ** 2, axis=1) + alpha
+    per = np.maximum(0.0, margin)
+    loss = float(per.mean() if reduction == "mean" else per.sum())
+    scale = np.where(margin > 0.0, 2.0, 0.0)
+    if reduction == "mean":
+        scale = scale / a.shape[0]
+    scale = scale[:, None]
+    return loss, (scale * (n - p), scale * (p - a), scale * (a - n))
+
+
+def triplet_loss(anchor, positive, negative, alpha: float = 0.2,
+                 reduction: str = "mean") -> float:
+    """Hinged squared-distance margin loss over one or more triplets."""
+    return _triplet_terms(anchor, positive, negative, alpha, reduction)[0]
 
 
 def triplet_grad(anchor, positive, negative, alpha: float = 0.2,
@@ -110,19 +122,8 @@ def triplet_grad(anchor, positive, negative, alpha: float = 0.2,
     inactive rows contribute zero. Gradients follow the input shape: vector
     inputs get vector gradients, batches get batch gradients.
     """
-    if reduction not in _REDUCTIONS:
-        raise ValidationError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
-    single = np.asarray(anchor).ndim == 1
-    a, p, n = _triplet_batches(anchor, positive, negative)
-    d_ap = np.sum((a - p) ** 2, axis=1)
-    d_an = np.sum((a - n) ** 2, axis=1)
-    active = (d_ap - d_an + alpha) > 0.0
-    scale = np.where(active, 2.0, 0.0)
-    if reduction == "mean":
-        scale = scale / a.shape[0]
-    scale = scale[:, None]
-    grads = (scale * (n - p), scale * (p - a), scale * (a - n))
-    return tuple(g[0] for g in grads) if single else grads
+    grads = _triplet_terms(anchor, positive, negative, alpha, reduction)[1]
+    return tuple(g[0] for g in grads) if np.ndim(anchor) == 1 else grads
 
 
 @dataclass(frozen=True)
@@ -193,58 +194,39 @@ def init_encoder(input_dim: int, hidden_dim: int, embed_dim: int,
     )
 
 
-def encoder_forward(params: EncoderParams, x) -> np.ndarray:
-    """Embed one feature vector (D,) or a batch (N, D)."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    batch = arr[None, :] if single else arr
+def _layers(params: EncoderParams,
+            arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The network on (D,) or (N, D) input, as a batch: (hidden after ReLU,
+    output before normalising, its row norms or None without normalising)."""
+    batch = arr[None, :] if arr.ndim == 1 else arr
     if batch.ndim != 2 or batch.shape[1] != params.input_dim:
         raise _inner_dimension_error(params, arr.shape)
-    # Each matmul returns a fresh array, so bias, ReLU and the division run
-    # in place; the rounding is that of the out-of-place expressions.
+    # Each matmul returns a fresh array, so bias and ReLU run in place; the
+    # rounding is that of the out-of-place expressions.
     hidden = batch @ params.w1.T
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ params.w2.T
     out += params.b2
-    if params.normalize:
-        # What np.linalg.norm(out, axis=1) computes for real input, without
-        # its dispatch.
-        norms = np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+    if not params.normalize:
+        return hidden, out, None
+    # What np.linalg.norm(out, axis=1) computes for real input, without its
+    # dispatch.
+    return hidden, out, np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+
+
+def encoder_forward(params: EncoderParams, x) -> np.ndarray:
+    """Embed one feature vector (D,) or a batch (N, D)."""
+    arr = np.asarray(x, dtype=np.float64)
+    _, out, norms = _layers(params, arr)
+    if norms is not None:
         out /= np.maximum(norms, NORMALIZE_EPS, out=norms)
-    return out[0] if single else out
+    return out[0] if arr.ndim == 1 else out
 
 
 def _inner_dimension_error(params: EncoderParams, shape: tuple) -> DimensionError:
     return DimensionError(
         f"features: expected inner dimension {params.input_dim}, got shape {shape}")
-
-
-def _backward_through_encoder(params: EncoderParams, x: np.ndarray,
-                              grad_out: np.ndarray) -> dict[str, np.ndarray]:
-    """Parameter gradients given d(loss)/d(embedding) for a batch of inputs."""
-    pre = x @ params.w1.T + params.b1
-    hidden = np.maximum(pre, 0.0)
-    lin = hidden @ params.w2.T + params.b2
-    if params.normalize:
-        norms = np.linalg.norm(lin, axis=1, keepdims=True)
-        safe = np.maximum(norms, NORMALIZE_EPS)
-        # d(e/||e||)/de = I/||e|| - e e^T / ||e||^3; below the floor the map
-        # is simply e / eps, whose jacobian is I / eps.
-        dots = np.sum(lin * grad_out, axis=1, keepdims=True)
-        grad_lin = np.where(norms >= NORMALIZE_EPS,
-                            grad_out / safe - lin * (dots / safe ** 3),
-                            grad_out / NORMALIZE_EPS)
-    else:
-        grad_lin = grad_out
-    grad_hidden = grad_lin @ params.w2
-    grad_pre = grad_hidden * (pre > 0.0)
-    return {
-        "w1": grad_pre.T @ x,
-        "b1": grad_pre.sum(axis=0),
-        "w2": grad_lin.T @ hidden,
-        "b2": grad_lin.sum(axis=0),
-    }
 
 
 def encoder_backward(params: EncoderParams, anchors, positives, negatives,
@@ -253,13 +235,27 @@ def encoder_backward(params: EncoderParams, anchors, positives, negatives,
     """Exact parameter gradients (and the loss) of triplet_loss o encoder_forward."""
     xa, xp, xn = _triplet_batches(anchors, positives, negatives)
     stacked = np.concatenate([xa, xp, xn], axis=0)
-    embedded = encoder_forward(params, stacked)
+    hidden, lin, norms = _layers(params, stacked)
+    safe = None if norms is None else np.maximum(norms, NORMALIZE_EPS)
+    embedded = lin if safe is None else lin / safe
     count = xa.shape[0]
-    ea, ep, en = embedded[:count], embedded[count:2 * count], embedded[2 * count:]
-    loss = triplet_loss(ea, ep, en, alpha=alpha, reduction=reduction)
-    ga, gp, gn = triplet_grad(ea, ep, en, alpha=alpha, reduction=reduction)
-    grads = _backward_through_encoder(params, stacked, np.concatenate([ga, gp, gn], axis=0))
-    return grads, loss
+    loss, grads = _triplet_terms(embedded[:count], embedded[count:2 * count],
+                                 embedded[2 * count:], alpha, reduction)
+    grad_lin = grad_out = np.concatenate(grads, axis=0)
+    if safe is not None:
+        # d(e/||e||)/de = I/||e|| - e e^T / ||e||^3; below the floor the map
+        # is simply e / eps, whose jacobian is I / eps.
+        dots = np.sum(lin * grad_out, axis=1, keepdims=True)
+        grad_lin = np.where(norms >= NORMALIZE_EPS,
+                            grad_out / safe - lin * (dots / safe ** 3),
+                            grad_out / NORMALIZE_EPS)
+    grad_pre = (grad_lin @ params.w2) * (hidden > 0.0)
+    return {
+        "w1": grad_pre.T @ stacked,
+        "b1": grad_pre.sum(axis=0),
+        "w2": grad_lin.T @ hidden,
+        "b2": grad_lin.sum(axis=0),
+    }, loss
 
 
 @dataclass(frozen=True)
@@ -398,6 +394,8 @@ def train(features: Mapping[str, np.ndarray], *,
         raise ValidationError("triplets_per_epoch and batch_size must be positive")
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
+    if not (lr > 0.0 and math.isfinite(lr)):
+        raise ValidationError(f"lr must be positive and finite, got {lr}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)

@@ -269,6 +269,10 @@ BAD_INPUTS = [
     ("train-alpha-nan", "train", "--alpha", "nan", "error: alpha must be finite, got nan"),
     ("train-negative-seed", "train", "--seed", "-1",
      "error: seed must be non-negative, got -1"),
+    ("train-lr-nan", "train", "--lr", "nan", "error: lr must be positive and finite, got nan"),
+    ("train-lr-inf", "train", "--lr", "inf", "error: lr must be positive and finite, got inf"),
+    ("train-lr-negative", "train", "--lr", "-0.01",
+     "error: lr must be positive and finite, got -0.01"),
     ("finger-params-non-numeric", "replay", "config.json",
      b'{"finger_params": {"thumb_slope_max": "steep"}}',
      "error: config: finger_params.thumb_slope_max must be a number, got 'steep'"),
@@ -282,6 +286,13 @@ BAD_INPUTS = [
      "error: config: controller.max_steps must be a number, got inf"),
     ("controller-not-object", "track", "config.json", b'{"controller": [1]}',
      "error: config: controller must be an object"),
+    ("finger-params-string", "replay", "config.json",
+     b'{"finger_params": {"thumb_min_dx": "0.04"}}',
+     "error: config: finger_params.thumb_min_dx must be a number, got '0.04'\n"),
+    ("controller-gain-bool", "track", "config.json", b'{"controller": {"gain": true}}',
+     "error: config: controller.gain must be a number, got True\n"),
+    ("controller-steps-fraction", "track", "config.json", b'{"controller": {"max_steps": 2.9}}',
+     "error: config: controller.max_steps must be an integer, got 2.9\n"),
 ]
 
 

@@ -19,6 +19,7 @@ from handwave import (
     EncoderParams,
     EnrollmentRecord,
     NumericsError,
+    ValidationError,
     adam_step,
     encoder_backward,
     encoder_forward,
@@ -584,6 +585,95 @@ class TestVerifyOracle:
             assert math.isnan(decision.distance) and not decision.accepted
         elif weights == "zero_head":
             assert decision.distance == 0.0 and decision.accepted
+
+
+def oracle_backward(params, anchors, positives, negatives, alpha, reduction):
+    """encoder_backward as first written: an embedding pass, separate loss and
+    gradient hinges, then a second pass through out-of-place layers."""
+    count = anchors.shape[0]
+    x = np.concatenate([anchors, positives, negatives])
+    e = oracle_forward(params, x)
+    ea, ep, en = e[:count], e[count:2 * count], e[2 * count:]
+    per = np.maximum(0.0, np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + alpha)
+    loss = float(per.mean() if reduction == "mean" else per.sum())
+    active = (np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + alpha) > 0.0
+    scale = np.where(active, 2.0, 0.0)
+    if reduction == "mean":
+        scale = scale / count
+    scale = scale[:, None]
+    grad_out = np.concatenate([scale * (en - ep), scale * (ep - ea), scale * (ea - en)])
+    pre = x @ params.w1.T + params.b1
+    hidden = np.maximum(pre, 0.0)
+    lin = hidden @ params.w2.T + params.b2
+    grad_lin = grad_out
+    if params.normalize:
+        norms = np.linalg.norm(lin, axis=1, keepdims=True)
+        safe = np.maximum(norms, NORMALIZE_EPS)
+        dots = np.sum(lin * grad_out, axis=1, keepdims=True)
+        grad_lin = np.where(norms >= NORMALIZE_EPS, grad_out / safe - lin * (dots / safe ** 3),
+                            grad_out / NORMALIZE_EPS)
+    grad_pre = (grad_lin @ params.w2) * (pre > 0.0)
+    grads = {"w1": grad_pre.T @ x, "b1": grad_pre.sum(axis=0),
+             "w2": grad_lin.T @ hidden, "b2": grad_lin.sum(axis=0)}
+    return grads, loss, lin
+
+
+class TestEncoderBackwardOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+           count=st.integers(1, 33), normalize=st.booleans(),
+           reduction=st.sampled_from(["mean", "sum"]),
+           weights=st.sampled_from(["uniform", "large", "tiny", "dead_relu"]),
+           tied=st.booleans(), alpha=st.one_of(st.just(0.0), st.floats(-0.5, 1.0)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_two_pass_formulas_bit_for_bit(self, dims, count, normalize, reduction,
+                                                       weights, tied, alpha, seed):
+        input_dim, hidden_dim, embed_dim = dims
+        rng = np.random.default_rng(seed)
+        scale = {"uniform": 0.05, "large": 3.0, "tiny": 1e-15, "dead_relu": 0.05}[weights]
+        params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng,
+                              normalize=normalize, init_scale=scale)
+        if weights == "dead_relu":  # every hidden unit is negative before the ReLU
+            params = params.with_arrays({**params.as_dict(), "b1": np.full(hidden_dim, -1e3)})
+        a, p, n = (rng.normal(size=(count, input_dim)) for _ in range(3))
+        if tied:  # with alpha 0 every hinge sits exactly on its kink
+            n = p.copy()
+
+        grads, loss = encoder_backward(params, a, p, n, alpha=alpha, reduction=reduction)
+        want, want_loss, lin = oracle_backward(params, a, p, n, alpha, reduction)
+        assert float_bits(loss) == float_bits(want_loss)
+        assert type(loss) is float
+        assert grads.keys() == want.keys()
+        for key, grad in grads.items():
+            assert grad.shape == want[key].shape
+            assert grad.tobytes() == want[key].tobytes(), key
+        if weights == "tiny":  # the embedding runs below the normalising floor
+            assert np.linalg.norm(lin, axis=1).max() < NORMALIZE_EPS
+        elif weights == "dead_relu":
+            assert not grads["w1"].any() and not grads["b1"].any()
+
+
+class TestErrorOrder:
+    """Which error wins when the shapes and the reduction are both bad."""
+
+    @pytest.mark.parametrize("fn", [triplet_loss, triplet_grad])
+    def test_hinge_checks_reduction_before_shapes(self, fn):
+        with pytest.raises(ValidationError,
+                           match=re.escape("reduction must be one of ('mean', 'sum'), got 'bogus'")):
+            fn(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)), reduction="bogus")
+
+    @pytest.mark.parametrize("rows, width, error, message", [
+        ((2, 3, 2), 3, DimensionError, "triplet shapes disagree: (2, 3), (3, 3), (2, 3)"),
+        ((0, 0, 0), 3, EmptyBatchError, "triplet batch is empty"),
+        ((2, 2, 2), 5, DimensionError, "features: expected inner dimension 3, got shape (6, 5)"),
+        ((2, 2, 2), 3, ValidationError,
+         "reduction must be one of ('mean', 'sum'), got 'bogus'"),
+    ], ids=["shapes", "empty", "inner-dimension", "reduction"])
+    def test_encoder_backward_checks_reduction_last(self, rows, width, error, message):
+        params = init_encoder(3, 4, 2, seed=1)
+        batches = [np.ones((r, width)) for r in rows]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            encoder_backward(params, *batches, reduction="bogus")
 
 
 class TestRoc:
