@@ -58,8 +58,9 @@ def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L2 distances between the rows of ``a`` (N, D) and ``b`` (M, D), as (N, M).
 
-    Entry [i, j] equals ``euclidean_distance(a[i], b[j])`` bit for bit; the
-    expanded ||a||^2 + ||b||^2 - 2 a.b would round differently.
+    A vector ``b`` (D,) counts as one row, giving (N, 1). Entry [i, j] equals
+    ``euclidean_distance(a[i], b[j])`` bit for bit; the expanded
+    ||a||^2 + ||b||^2 - 2 a.b would round differently.
     """
     return np.sqrt(_squared_distances(a, b))
 
@@ -67,7 +68,7 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # One expression on purpose: squaring a named difference as diff * diff
     # keeps a second (N, M, D) temporary alive.
-    return np.add.reduce((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return np.add.reduce((a[:, None] - b) ** 2, axis=-1)
 
 
 def _as_batch(name: str, values) -> np.ndarray:
@@ -194,39 +195,37 @@ def init_encoder(input_dim: int, hidden_dim: int, embed_dim: int,
     )
 
 
-def _layers(params: EncoderParams,
-            arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The network on (D,) or (N, D) input, as a batch: (hidden after ReLU,
-    output before normalising, its row norms or None without normalising)."""
-    batch = arr[None, :] if arr.ndim == 1 else arr
-    if batch.ndim != 2 or batch.shape[1] != params.input_dim:
-        raise _inner_dimension_error(params, arr.shape)
+def _layers(params: EncoderParams, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The network on (D,) or (N, D) input: (hidden after ReLU, output before normalising)."""
+    if arr.ndim not in (1, 2) or arr.shape[-1] != params.input_dim:
+        raise DimensionError(
+            f"features: expected inner dimension {params.input_dim}, got shape {arr.shape}")
     # Each matmul returns a fresh array, so bias and ReLU run in place; the
     # rounding is that of the out-of-place expressions.
-    hidden = batch @ params.w1.T
+    hidden = arr @ params.w1.T
     hidden += params.b1
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ params.w2.T
     out += params.b2
-    if not params.normalize:
-        return hidden, out, None
-    # What np.linalg.norm(out, axis=1) computes for real input, without its
-    # dispatch.
-    return hidden, out, np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
+    return hidden, out
+
+
+def _row_norms(out: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(out, axis=1, keepdims=True) for real input, without its dispatch.
+    return np.sqrt(np.add.reduce(out * out, axis=1, keepdims=True))
 
 
 def encoder_forward(params: EncoderParams, x) -> np.ndarray:
     """Embed one feature vector (D,) or a batch (N, D)."""
-    arr = np.asarray(x, dtype=np.float64)
-    _, out, norms = _layers(params, arr)
-    if norms is not None:
+    _, out = _layers(params, np.asarray(x, dtype=np.float64))
+    if params.normalize and out.ndim == 1:
+        # A float floor, which keeps a NaN norm as np.maximum does.
+        norm = math.sqrt(np.add.reduce(out * out))
+        out /= NORMALIZE_EPS if norm < NORMALIZE_EPS else norm
+    elif params.normalize:
+        norms = _row_norms(out)
         out /= np.maximum(norms, NORMALIZE_EPS, out=norms)
-    return out[0] if arr.ndim == 1 else out
-
-
-def _inner_dimension_error(params: EncoderParams, shape: tuple) -> DimensionError:
-    return DimensionError(
-        f"features: expected inner dimension {params.input_dim}, got shape {shape}")
+    return out
 
 
 def encoder_backward(params: EncoderParams, anchors, positives, negatives,
@@ -235,7 +234,8 @@ def encoder_backward(params: EncoderParams, anchors, positives, negatives,
     """Exact parameter gradients (and the loss) of triplet_loss o encoder_forward."""
     xa, xp, xn = _triplet_batches(anchors, positives, negatives)
     stacked = np.concatenate([xa, xp, xn], axis=0)
-    hidden, lin, norms = _layers(params, stacked)
+    hidden, lin = _layers(params, stacked)
+    norms = _row_norms(lin) if params.normalize else None
     safe = None if norms is None else np.maximum(norms, NORMALIZE_EPS)
     embedded = lin if safe is None else lin / safe
     count = xa.shape[0]
@@ -269,6 +269,14 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+
+    def __post_init__(self) -> None:
+        # beta 1 would divide by zero in the bias correction.
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1), got {beta}")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise ValidationError(f"eps must be positive and finite, got {self.eps}")
 
     @classmethod
     def initial(cls, params: Mapping[str, np.ndarray], lr: float = 1e-3,
@@ -474,12 +482,10 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     probe = np.asarray(feature, dtype=np.float64)
     if probe.ndim != 1:
         raise DimensionError(f"probe: expected a vector, got shape {probe.shape}")
-    if probe.shape[0] != params.input_dim:
-        raise _inner_dimension_error(params, probe.shape)
-    embedded = encoder_forward(params, probe[None, :])
-    if record.anchors.shape[1] != embedded.shape[1]:
+    embedded = encoder_forward(params, probe)
+    if record.anchors.shape[1] != embedded.shape[0]:
         raise DimensionError(
-            f"probe embedding dimension {embedded.shape[1]} != enrolled {record.anchors.shape[1]}")
+            f"probe embedding dimension {embedded.shape[0]} != enrolled {record.anchors.shape[1]}")
     # sqrt is monotone and correctly rounded, so the root of the least squared
     # distance is the least of the rooted distances, bit for bit.
     distance = math.sqrt(_squared_distances(record.anchors, embedded).min())

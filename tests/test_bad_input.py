@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from handwave import (
+    AdamState,
     AnchorConfig,
     LayerSpec,
     DataError,
@@ -38,6 +39,7 @@ from handwave import (
     save_registry,
     save_store,
     synth_corpus,
+    train,
     write_frames,
     write_labelled,
 )
@@ -310,6 +312,39 @@ def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
     assert code == 1
     assert err.startswith(message), err
     assert "Traceback" not in err
+
+
+# Adam hyperparameters reach only the Python API. Each row names the entry
+# point (train, AdamState.initial or a hand-built state), its bad keyword
+# arguments and the first error; train still checks lr before the rest.
+BAD_ADAM = [
+    ("beta1-one", "train", {"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
+    ("beta2-one", "train", {"beta2": 1.0}, "beta2 must lie in [0, 1), got 1.0"),
+    ("beta1-two", "train", {"beta1": 2.0}, "beta1 must lie in [0, 1), got 2.0"),
+    ("beta2-negative", "train", {"beta2": -0.5}, "beta2 must lie in [0, 1), got -0.5"),
+    ("beta1-nan", "initial", {"beta1": float("nan")}, "beta1 must lie in [0, 1), got nan"),
+    ("eps-negative", "train", {"eps": -1.0}, "eps must be positive and finite, got -1.0"),
+    ("eps-zero", "initial", {"eps": 0.0}, "eps must be positive and finite, got 0.0"),
+    ("eps-inf", "state", {"eps": float("inf")}, "eps must be positive and finite, got inf"),
+    ("beta2-one-by-hand", "state", {"beta2": 1.0}, "beta2 must lie in [0, 1), got 1.0"),
+    ("betas-then-eps", "state", {"beta1": 1.5, "beta2": 1.5, "eps": -1.0},
+     "beta1 must lie in [0, 1), got 1.5"),
+    ("lr-before-betas", "train", {"lr": 0.0, "beta1": 1.0, "eps": -1.0},
+     "lr must be positive and finite, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("entry, kwargs, message", [case[1:] for case in BAD_ADAM],
+                         ids=[case[0] for case in BAD_ADAM])
+def test_bad_adam_hyperparameters_are_errors(entry, kwargs, message):
+    params = {"w": np.zeros((2, 3))}
+    features = {f"s{i}": np.full((2, 3), float(i)) for i in range(2)}
+    call = {"train": lambda: train(features, epochs=1, **kwargs),
+            "initial": lambda: AdamState.initial(params, **kwargs),
+            "state": lambda: AdamState(m=params, v=params, **kwargs)}[entry]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _hand(side, bits, conf=None):

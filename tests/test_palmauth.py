@@ -5,6 +5,8 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +84,11 @@ class TestEuclideanDistance:
         for i in range(n):
             for j in range(m):
                 assert got[i, j] == euclidean_distance(a[i], b[j])
+        # A vector b is one row.
+        got = pairwise_distances(a, b[-1])
+        assert got.shape == (n, 1)
+        for i in range(n):
+            assert got[i, 0] == euclidean_distance(a[i], b[-1])
 
     def test_pairwise_peak_memory_is_one_temporary(self):
         rng = np.random.default_rng(11)
@@ -248,6 +255,17 @@ class TestEncoderForward:
         params = init_encoder(5, 4, 3, seed=0)
         with pytest.raises(DimensionError):
             encoder_forward(params, np.zeros(6))
+
+    def test_nan_norm_is_not_floored(self):
+        # An infinite input makes the output (inf, inf - inf) = (inf, nan); its
+        # norm is NaN, and dividing by it leaves no entry finite or infinite.
+        params = EncoderParams(w1=np.ones((2, 1)), b1=np.zeros(2),
+                               w2=np.array([[1.0, 1.0], [1.0, -1.0]]), b2=np.zeros(2))
+        with np.errstate(invalid="ignore"):  # inf - inf in the matmul
+            vector = encoder_forward(params, np.array([np.inf]))
+            batch = encoder_forward(params, np.array([[np.inf]]))
+        assert np.isnan(vector).all()
+        assert vector.tobytes() == batch[0].tobytes()
 
     def test_init_bounds_and_determinism(self):
         a = init_encoder(7, 6, 5, seed=9)
@@ -519,15 +537,22 @@ class TestEnrollVerify:
         with pytest.raises(DimensionError):
             verify(np.ones(6), record, params)
         narrow = EnrollmentRecord("ida", np.zeros((2, 3)), 0.5)
+        wide = init_encoder(64, 8, 4, seed=5)
         # Checked in this order: the probe's rank, its width, then the record.
-        for probe, rec, message in (
-                (np.ones((2, 5)), record, "probe: expected a vector, got shape (2, 5)"),
-                (np.ones((1, 6)), narrow, "probe: expected a vector, got shape (1, 6)"),
-                (np.ones(6), record, "features: expected inner dimension 5, got shape (6,)"),
-                ([1.0] * 4, narrow, "features: expected inner dimension 5, got shape (4,)"),
-                (np.ones(5), narrow, "probe embedding dimension 4 != enrolled 3")):
+        for probe, rec, prm, message in (
+                (np.ones((2, 5)), record, params, "probe: expected a vector, got shape (2, 5)"),
+                (np.ones((1, 6)), narrow, params, "probe: expected a vector, got shape (1, 6)"),
+                (np.ones(6), record, params,
+                 "features: expected inner dimension 5, got shape (6,)"),
+                ([1.0] * 4, narrow, params,
+                 "features: expected inner dimension 5, got shape (4,)"),
+                (np.ones(5), narrow, params, "probe embedding dimension 4 != enrolled 3"),
+                (np.ones((1, 63)), narrow, wide, "probe: expected a vector, got shape (1, 63)"),
+                (np.ones(63), narrow, wide,
+                 "features: expected inner dimension 64, got shape (63,)"),
+                (np.ones(64), narrow, wide, "probe embedding dimension 4 != enrolled 3")):
             with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
-                verify(probe, rec, params)
+                verify(probe, rec, prm)
 
 
 def oracle_forward(params, x):
@@ -585,6 +610,65 @@ class TestVerifyOracle:
             assert math.isnan(decision.distance) and not decision.accepted
         elif weights == "zero_head":
             assert decision.distance == 0.0 and decision.accepted
+
+
+def batch_path_verify(probe, record, params):
+    """verify through the batch path: the probe as a (1, D) batch, then the
+    least of the rooted anchor distances."""
+    embedded = encoder_forward(params, probe[None, :])
+    return float(pairwise_distances(record.anchors, embedded).min())
+
+
+def warning_texts(fn):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, [str(w.message) for w in caught]
+
+
+class TestVerifyAsVector:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(dims=st.tuples(st.integers(1, 130), st.integers(1, 130), st.integers(1, 130)),
+           anchors=st.integers(1, 12), normalize=st.booleans(),
+           weights=st.sampled_from(["uniform", "large", "tiny", "zero_head"]),
+           probe_kind=st.sampled_from(["normal", "huge", "nan", "inf", "zero"]),
+           threshold=st.floats(0.0, 2.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_batch_path_bit_for_bit(self, dims, anchors, normalize, weights,
+                                                probe_kind, threshold, seed):
+        input_dim, hidden_dim, embed_dim = dims
+        rng = np.random.default_rng(seed)
+        scale = {"uniform": 0.05, "large": 3.0, "tiny": 1e-15, "zero_head": 0.05}[weights]
+        params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng,
+                              normalize=normalize, init_scale=scale)
+        if weights == "zero_head":  # every embedding is exactly zero
+            params = params.with_arrays({**params.as_dict(), "w2": np.zeros_like(params.w2),
+                                         "b2": np.zeros_like(params.b2)})
+        record = enroll("s", rng.normal(size=(anchors, input_dim)), params, threshold)
+        probe = rng.normal(size=input_dim)
+        if probe_kind == "huge":  # squaring the embedding overflows without normalising
+            probe *= 1e300
+        elif probe_kind in ("nan", "inf"):
+            probe[rng.integers(input_dim)] = float(probe_kind) * rng.choice([-1.0, 1.0])
+        elif probe_kind == "zero":
+            probe[:] = 0.0
+
+        embedded, batch_warnings = warning_texts(
+            lambda: encoder_forward(params, probe[None, :]))
+        vector, vector_warnings = warning_texts(lambda: encoder_forward(params, probe))
+        assert vector.shape == (embed_dim,)
+        assert vector.tobytes() == embedded[0].tobytes()
+        assert vector_warnings == batch_warnings
+        want, want_warnings = warning_texts(lambda: batch_path_verify(probe, record, params))
+        decision, got_warnings = warning_texts(lambda: verify(probe, record, params))
+        assert got_warnings == want_warnings
+        assert float_bits(decision.distance) == float_bits(want)
+        assert type(decision.distance) is float
+        assert decision.accepted is (want <= threshold)
+        if probe_kind == "nan":
+            assert math.isnan(decision.distance) and not decision.accepted
+        if weights == "tiny" and probe_kind in ("normal", "zero"):
+            raw = encoder_forward(replace(params, normalize=False), probe)
+            assert np.sqrt(np.sum(raw * raw)) < NORMALIZE_EPS
 
 
 def oracle_backward(params, anchors, positives, negatives, alpha, reduction):
