@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError, HandwaveError
 from .evaluate import (
     evaluate as evaluate_pairs,  # unused here; perfbench's tracer wraps it by this name
     evaluate_corpus,
-    evaluate_events,
+    evaluate_corpus_events,
     format_report_table,
     report_to_obj,
 )
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
     registry = _registry(args.registry)
     params = _finger_params(_load_config(args.config))
     if args.events:
-        _emit(evaluate_events(streams.read_labelled(args.corpus), registry, params))
+        _emit(evaluate_corpus_events(args.corpus, registry, params))
         return 0
     report = evaluate_corpus(args.corpus, registry, params)
     obj = report_to_obj(report)

@@ -8,8 +8,10 @@ display never suffers float drift, while recall is rounded to two decimals.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import os
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -17,14 +19,16 @@ from .errors import DataError
 from .gestures import (
     DEFAULT_FINGER_PARAMS,
     FingerStateParams,
+    GestureEngine,
     GestureRegistry,
     _classify_frame,
     _classify_hands,
 )
-from .model import EvalReport, EvalRow, HandFrame
+from .model import EvalReport, EvalRow, GestureEvent, HandFrame
 from .streams import labelled_arrays
 
 NO_MATCH = "none"
+_EVENT_COUNTS = ("expected", "detected", "spurious")
 
 
 def evaluate(pairs: Iterable[tuple[HandFrame, str]],
@@ -42,15 +46,21 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     return tally.report()
 
 
+def _corpus_names(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
+                  params: FingerStateParams) -> Iterator[tuple[str, str | None, int]]:
+    """(label, first match or None, t) of every frame of a corpus, read once as arrays."""
+    for chunk in labelled_arrays(source):
+        names = _classify_hands(chunk.points, chunk.frame_of, chunk.side, len(chunk.labels),
+                                registry, params)
+        yield from zip(chunk.labels, names, chunk.times)
+
+
 def evaluate_corpus(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
                     params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport:
     """evaluate(read_labelled(source), registry, params), read once and scored as arrays."""
     tally = _Tally()
-    for chunk in labelled_arrays(source):
-        names = _classify_hands(chunk.points, chunk.frame_of, chunk.side, len(chunk.labels),
-                                registry, params)
-        for label, name in zip(chunk.labels, names):
-            tally.add(label, name)
+    for label, name, _ in _corpus_names(source, registry, params):
+        tally.add(label, name)
     return tally.report()
 
 
@@ -114,37 +124,20 @@ def format_row_cells(row: EvalRow) -> tuple[str, str, str]:
 
 def format_report_table(report: EvalReport) -> str:
     """The report as an aligned text table (rows, then the totals line)."""
-    header = ("gesture", "total", "correct", "false", "accuracy%", "error%", "recall")
-    body = []
+    lines = [("gesture", "total", "correct", "false", "accuracy%", "error%", "recall")]
     for row in (*report.rows, report.totals):
-        accuracy, error, recall = format_row_cells(row)
-        body.append((row.name, str(row.total_frames), str(row.correct_frames),
-                     str(row.false_frames), accuracy, error, recall))
-    widths = [max(len(header[i]), *(len(line[i]) for line in body)) for i in range(len(header))]
-    lines = ["  ".join(header[i].ljust(widths[i]) if i == 0 else header[i].rjust(widths[i])
-                       for i in range(len(header)))]
-    for line in body:
-        lines.append("  ".join(line[i].ljust(widths[i]) if i == 0 else line[i].rjust(widths[i])
-                               for i in range(len(header))))
-    return "\n".join(lines)
+        lines.append((row.name, str(row.total_frames), str(row.correct_frames),
+                      str(row.false_frames), *format_row_cells(row)))
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join("  ".join([line[0].ljust(widths[0]), *map(str.rjust, line[1:], widths[1:])])
+                     for line in lines)
 
 
 def report_to_obj(report: EvalReport) -> dict:
-    """JSON-ready dict: raw counts and exact percentages plus the confusion matrix."""
-    def row_obj(row: EvalRow) -> dict:
-        return {
-            "name": row.name,
-            "total_frames": row.total_frames,
-            "correct_frames": row.correct_frames,
-            "false_frames": row.false_frames,
-            "accuracy_pct": row.accuracy_pct,
-            "error_pct": row.error_pct,
-            "recall": row.recall,
-        }
-
+    """JSON-ready dict: rows as EvalRow's fields (raw counts, exact percentages), the confusion."""
     return {
-        "rows": [row_obj(row) for row in report.rows],
-        "totals": row_obj(report.totals),
+        "rows": [dataclasses.asdict(row) for row in report.rows],
+        "totals": dataclasses.asdict(report.totals),
         "confusion": {
             "labels": list(report.labels),
             "columns": list(report.columns),
@@ -164,39 +157,32 @@ def evaluate_events(pairs: Iterable[tuple[HandFrame, str]],
     as spurious. This is the debounced view of the corpus — the frame-level
     `evaluate` remains the headline metric.
     """
-    from .gestures import GestureEngine
-
     engine = GestureEngine(registry, params)
+    return _event_tally((label, engine.step(frame)) for frame, label in pairs)
+
+
+def evaluate_corpus_events(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
+                           params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> dict:
+    """evaluate_events(read_labelled(source), registry, params), read once as arrays."""
+    engine = GestureEngine(registry, params)
+    return _event_tally((label, engine._advance(name, t))
+                        for label, name, t in _corpus_names(source, registry, params))
+
+
+def _event_tally(stepped: Iterable[tuple[str, list[GestureEvent]]]) -> dict:
+    """evaluate_events' counts over each frame's label and the events it triggered."""
     per: dict[str, dict[str, int]] = {}
-    current_label = None
-    detected_this_run = False
-    count = 0
-    for frame, label in pairs:
-        count += 1
-        if label != current_label:
-            if current_label not in (None, NO_MATCH):
-                per[current_label]["expected"] += 1
-                per[current_label]["detected"] += int(detected_this_run)
-            current_label = label
-            detected_this_run = False
-            if label != NO_MATCH and label not in per:
-                per[label] = {"expected": 0, "detected": 0, "spurious": 0}
-        for event in engine.step(frame):
-            if not event.is_onset:
-                continue
-            if event.name == label:
-                detected_this_run = True
-            else:
-                per.setdefault(event.name, {"expected": 0, "detected": 0, "spurious": 0})
-                per[event.name]["spurious"] += 1
-    if count == 0:
+    label = None  # stays None for an empty stream
+    for label, run in itertools.groupby(stepped, key=lambda pair: pair[0]):
+        onsets = [event.name for _, events in run for event in events if event.is_onset]
+        if label != NO_MATCH:  # its row comes before the rows its onsets add
+            row = per.setdefault(label, dict.fromkeys(_EVENT_COUNTS, 0))
+            row["expected"] += 1
+            row["detected"] += label in onsets
+        for name in onsets:
+            if name != label:
+                per.setdefault(name, dict.fromkeys(_EVENT_COUNTS, 0))["spurious"] += 1
+    if label is None:
         raise DataError("evaluate: empty stream")
-    if current_label not in (None, NO_MATCH):
-        per[current_label]["expected"] += 1
-        per[current_label]["detected"] += int(detected_this_run)
-    totals = {
-        "expected": sum(v["expected"] for v in per.values()),
-        "detected": sum(v["detected"] for v in per.values()),
-        "spurious": sum(v["spurious"] for v in per.values()),
-    }
+    totals = {key: sum(row[key] for row in per.values()) for key in _EVENT_COUNTS}
     return {"per_gesture": per, "totals": totals}

@@ -307,14 +307,17 @@ class GestureEngine:
                     Point2(x, y)  # raises the error cursor_point would
                 state.last_cursor = x, y
 
-        name = self.registry._table[right * _SLOTS + left]
-        events: list[GestureEvent] = []
+        return self._advance(self.registry._table[right * _SLOTS + left], frame.t_ms)
 
+    def _advance(self, name: str | None, t_ms: int) -> list[GestureEvent]:
+        """step's debounce, for a frame at ``t_ms``; an onset takes ``state.last_cursor``."""
+        state = self.state
+        events: list[GestureEvent] = []
         if state.active is not None and name != state.active:
             events.append(GestureEvent(
                 name=state.active,
                 onset_ms=state.active_onset_ms,
-                offset_ms=frame.t_ms,
+                offset_ms=t_ms,
             ))
             state.active = None
             state.active_onset_ms = None
@@ -330,12 +333,12 @@ class GestureEngine:
                 state.streak = 1
             if state.streak >= self.registry.get(name).hold_frames:
                 state.active = name
-                state.active_onset_ms = frame.t_ms
+                state.active_onset_ms = t_ms
                 state.candidate = None
                 state.streak = 0
                 events.append(GestureEvent(
                     name=name,
-                    onset_ms=frame.t_ms,
+                    onset_ms=t_ms,
                     offset_ms=None,
                     cursor=None if state.last_cursor is None else Point2(*state.last_cursor),
                 ))

@@ -24,6 +24,7 @@ calibrates that threshold from genuine/impostor distance samples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -271,12 +272,14 @@ class AdamState:
     eps: float = 1e-8
 
     def __post_init__(self) -> None:
-        # beta 1 would divide by zero in the bias correction.
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1), got {beta}")
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise ValidationError(f"eps must be positive and finite, got {self.eps}")
+        for name in ("lr", "beta1", "beta2", "eps"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            if name in ("lr", "eps") and not (value > 0.0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+            if name.startswith("beta") and not 0.0 <= value < 1.0:  # 1 would divide by 0
+                raise ValidationError(f"{name} must lie in [0, 1), got {value}")
 
     @classmethod
     def initial(cls, params: Mapping[str, np.ndarray], lr: float = 1e-3,

@@ -298,6 +298,7 @@ class LabelledArrays(NamedTuple):
     """Consecutive frames of a labelled corpus, with every hand in one array."""
 
     labels: list[str]     # one per frame
+    times: list[int]      # each frame's "t"
     points: np.ndarray    # (H, 21, 2) float64: every hand, in file order
     frame_of: np.ndarray  # (H,) the index in ``labels`` of each hand's frame
     side: np.ndarray      # (H,) 0 for a right hand, 1 for a left one
@@ -325,13 +326,14 @@ def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[Label
         if arr is None:
             recheck()
         return LabelledArrays(
-            labels, arr[:2 * len(pairs)].reshape(-1, NUM_LANDMARKS, 2),
+            labels, times, arr[:2 * len(pairs)].reshape(-1, NUM_LANDMARKS, 2),
             np.array(frame_of, dtype=np.intp), np.array(side, dtype=np.intp))
 
     before: int | None = None  # the last timestamp before the chunk
     last_t = -1  # below every valid first timestamp
     lines: list[tuple[int, Any]] = []  # the chunk's (line number, object) pairs, kept whole
     labels: list[str] = []
+    times: list[int] = []
     pairs: list = []  # every [x, y] of the chunk
     confs: list = []  # every confidence of the chunk
     frame_of: list[int] = []
@@ -352,10 +354,12 @@ def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[Label
             frame_of += [len(labels)] * len(sides)
             side += sides
             labels.append(label)
+            times.append(t)
             last_t = t
             if len(labels) == _CHUNK_FRAMES:
                 yield chunk()
-                before, lines, labels, pairs, confs, frame_of, side = last_t, [], [], [], [], [], []
+                before, lines, labels, times, pairs, confs, frame_of, side = \
+                    last_t, [], [], [], [], [], [], []
     except ParseError as exc:  # the JSON reader's; an earlier line of the chunk comes first
         recheck(exc)
     if labels:

@@ -93,12 +93,15 @@ def inputs(tmp_path_factory):
     return root
 
 
-# Each subcommand's argv, with every input file named by its file name.
+# Each subcommand's argv, with every input file named by its file name; a key
+# may carry a flag after the subcommand.
 COMMANDS = {
     "replay": ["--frames", "frames.jsonl", "--config", "config.json",
                "--registry", "registry.json"],
     "eval": ["--corpus", "corpus.jsonl", "--config", "config.json",
              "--registry", "registry.json"],
+    "eval --events": ["--corpus", "corpus.jsonl", "--config", "config.json",
+                      "--registry", "registry.json"],
     "decode": ["--preds", "preds.jsonl"],
     "keypoints": ["--maps", "maps.jsonl"],
     "verify": ["--store", "store.json", "--subject", "s0", "--probe", "probe.json",
@@ -112,7 +115,7 @@ COMMANDS = {
 
 def argv_for(root, command, replace=None, path=None):
     """The command's argv over ``root``, with file ``replace`` read from ``path``."""
-    argv = [command]
+    argv = command.split()
     for arg in COMMANDS[command]:
         if arg == replace:
             argv.append(path)
@@ -295,7 +298,20 @@ BAD_INPUTS = [
      "error: config: controller.gain must be a number, got True\n"),
     ("controller-steps-fraction", "track", "config.json", b'{"controller": {"max_steps": 2.9}}',
      "error: config: controller.max_steps must be an integer, got 2.9\n"),
+    ("eval-config-bool", "eval", "config.json", b'{"finger_params": {"thumb_min_dx": true}}',
+     "error: config: finger_params.thumb_min_dx must be a number, got True\n"),
+    ("eval-registry-object", "eval", "registry.json", b'{"name": "One"}',
+     "error: registry: expected a JSON array of definitions\n"),
+    ("eval-registry-hold-string", "eval", "registry.json",
+     b'[{"name": "One", "pattern": {"single": [0, 1, 0, 0, 0]}, "hold_frames": "5"}]',
+     "error: registry[0]: hold_frames must be an integer\n"),
 ]
+# eval --events reads its files as eval does, and fails alike but for its own
+# empty-stream text.
+BAD_INPUTS += [(f"{case[0]}-events", "eval --events", *case[2:]) for case in BAD_INPUTS
+               if case[1] == "eval" and case[0] != "corpus-blank-lines"]
+BAD_INPUTS.append(("corpus-blank-lines-events", "eval --events", "corpus.jsonl", b"\n  \n\n",
+                   "error: evaluate: empty stream\n"))
 
 
 @pytest.mark.parametrize("command, name, data, message",
@@ -331,6 +347,16 @@ BAD_ADAM = [
      "beta1 must lie in [0, 1), got 1.5"),
     ("lr-before-betas", "train", {"lr": 0.0, "beta1": 1.0, "eps": -1.0},
      "lr must be positive and finite, got 0.0"),
+    ("lr-nan-initial", "initial", {"lr": float("nan")}, "lr must be positive and finite, got nan"),
+    ("lr-inf-initial", "initial", {"lr": float("inf")}, "lr must be positive and finite, got inf"),
+    ("lr-negative-by-hand", "state", {"lr": -0.1}, "lr must be positive and finite, got -0.1"),
+    ("lr-zero-by-hand", "state", {"lr": 0.0}, "lr must be positive and finite, got 0.0"),
+    ("lr-before-betas-by-hand", "state", {"lr": float("nan"), "beta1": 1.0},
+     "lr must be positive and finite, got nan"),
+    ("lr-string-by-hand", "state", {"lr": "0.1"}, "lr must be a real number, got '0.1'"),
+    ("beta1-string", "initial", {"beta1": "0.9"}, "beta1 must be a real number, got '0.9'"),
+    ("beta2-string", "train", {"beta2": "0.999"}, "beta2 must be a real number, got '0.999'"),
+    ("eps-none", "state", {"eps": None}, "eps must be a real number, got None"),
 ]
 
 
@@ -469,6 +495,7 @@ def byte_edit(draw, data):
 FUZZED = {
     "replay": ["frames.jsonl", "config.json", "registry.json"],
     "eval": ["corpus.jsonl", "config.json", "registry.json"],
+    "eval --events": ["corpus.jsonl", "config.json", "registry.json"],
     "decode": ["preds.jsonl"],
     "keypoints": ["maps.jsonl"],
     "verify": ["store.json", "probe.json", "params.json"],

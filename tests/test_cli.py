@@ -171,6 +171,19 @@ class TestReplayTrack:
         assert first_json(out)["device_commands"] == 1
         assert b"D tv POWER\n" in port.read_bytes()
 
+    @pytest.mark.parametrize("text, message", [
+        ('[{"device": "tv", "action": "POWER"}]', "mapping: expected {gesture: {device, action}}"),
+        ('{"One_VRF": {"device": "tv"}}', "mapping: entry 'One_VRF' needs 'device' and 'action'"),
+    ], ids=["not-object", "no-action"])
+    def test_track_bad_mapping(self, capsys, tmp_path, text, message):
+        frames = self.frames_path(tmp_path)
+        port = tmp_path / "port"
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(text)
+        code, out, err = run_cli(capsys, "track", "--frames", str(frames),
+                                 "--uri", f"serial:{port}", "--mapping", str(mapping))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestFloatRegistryBits:
     """A registry file may spell its posture bits 1.0 and 0.0; they match as 1 and 0."""
@@ -281,6 +294,55 @@ class TestPalmCommands:
         impostor = [min(euclidean_distance(row, b) for b in own)
                     for rows in embedded.values() for row in rows]
         assert threshold == roc_sweep(genuine, impostor).eer_threshold
+
+    @staticmethod
+    def enroll(capsys, tmp_path, subject, params_path, threshold="0.5"):
+        return run_cli(capsys, "enroll", "--store", str(tmp_path / "store.json"),
+                       "--subject", subject, "--data", str(tmp_path / "features.jsonl"),
+                       "--params", str(params_path), "--threshold", threshold)
+
+    def test_enroll_into_an_existing_store(self, capsys, tmp_path):
+        self.dataset_path(tmp_path)
+        params_path = tmp_path / "params.json"
+        save_params(params_path, init_encoder(8, 8, 4, seed=1))
+        for subject, threshold in (("s0", "0.5"), ("s1", "0.6"), ("s2", "0.7"), ("s0", "0.8")):
+            assert self.enroll(capsys, tmp_path, subject, params_path, threshold)[0] == 0
+        records, normalize, dim = load_store(tmp_path / "store.json")
+        # The re-enrolled subject is dropped and appended last.
+        assert [(r.subject_id, r.threshold) for r in records] == \
+            [("s1", 0.6), ("s2", 0.7), ("s0", 0.8)]
+        assert (normalize, dim) == (True, 4)
+
+    @pytest.mark.parametrize("other", [
+        {"normalize": False}, {"embed_dim": 3}], ids=["normalize", "dim"])
+    def test_enroll_refuses_a_store_of_other_params(self, capsys, tmp_path, other):
+        self.dataset_path(tmp_path)
+        params_path, other_path = tmp_path / "params.json", tmp_path / "other.json"
+        save_params(params_path, init_encoder(8, 8, 4, seed=1))
+        save_params(other_path, init_encoder(8, 8, other.get("embed_dim", 4), seed=1,
+                                             normalize=other.get("normalize", True)))
+        assert self.enroll(capsys, tmp_path, "s0", params_path)[0] == 0
+        before = (tmp_path / "store.json").read_bytes()
+        assert self.enroll(capsys, tmp_path, "s1", other_path) == (
+            1, "", "error: store: existing store disagrees with these encoder params\n")
+        assert (tmp_path / "store.json").read_bytes() == before
+
+    @pytest.mark.parametrize("subject, dim, message", [
+        ("s0", 3, "store: store disagrees with these encoder params"),
+        ("x", 4, "subject 'x' is not enrolled"),
+    ], ids=["params", "subject"])
+    def test_verify_lookup_errors(self, capsys, tmp_path, subject, dim, message):
+        data = self.dataset_path(tmp_path)
+        params_path, other_path = tmp_path / "params.json", tmp_path / "other.json"
+        save_params(params_path, init_encoder(8, 8, 4, seed=1))
+        save_params(other_path, init_encoder(8, 8, dim, seed=1))
+        assert self.enroll(capsys, tmp_path, "s0", params_path)[0] == 0
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps({"features": json.loads(
+            data.read_text().splitlines()[0])["features"]}))
+        assert run_cli(capsys, "verify", "--store", str(tmp_path / "store.json"),
+                       "--subject", subject, "--probe", str(probe),
+                       "--params", str(other_path)) == (1, "", f"error: {message}\n")
 
     def test_roc_summary(self, capsys, tmp_path):
         data = self.dataset_path(tmp_path, seed=7)

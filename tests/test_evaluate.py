@@ -1,8 +1,13 @@
 """Frame and event evaluation, plus the truncated-percentage table formatting."""
 
+import dataclasses
+import importlib
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handwave import (
     DEFAULT_FINGER_PARAMS,
@@ -11,7 +16,10 @@ from handwave import (
     EvalRow,
     FingerStateParams,
     GestureDef,
+    GestureEngine,
+    GestureEvent,
     GestureRegistry,
+    HandwaveError,
     PostureArray,
     StreamOrderError,
     SynthSpec,
@@ -27,8 +35,12 @@ from handwave import (
     synth_corpus,
     write_labelled,
 )
-from handwave.evaluate import evaluate_corpus
+from handwave import streams
+from handwave.evaluate import evaluate_corpus, evaluate_corpus_events
+from handwave.gestures import _classify_frame
 from handwave.model import HandFrame
+
+evaluate_module = importlib.import_module("handwave.evaluate")  # the package exports a function
 
 ONE = PostureArray.of(0, 1, 0, 0, 0)
 TWO = PostureArray.of(0, 1, 1, 0, 0)
@@ -235,3 +247,127 @@ class TestEvaluateEvents:
     def test_empty_stream_rejected(self):
         with pytest.raises(DataError):
             evaluate_events([], small_registry())
+
+    def test_rows_in_order_of_first_appearance(self):
+        # A run's row comes before the row of a spurious onset inside it.
+        pairs = frames_of(ONE, 4, "Two") + frames_of(FIVE, 4, "One", start_t=160)
+        result = evaluate_events(pairs, small_registry(hold_frames=3))
+        assert list(result["per_gesture"].items()) == [
+            ("Two", {"expected": 1, "detected": 0, "spurious": 0}),
+            ("One", {"expected": 1, "detected": 0, "spurious": 1}),
+            ("Five", {"expected": 0, "detected": 0, "spurious": 1})]
+
+
+# The stock gestures with hold_frames 1 to 4 and the fourth renamed "none".
+MIXED_HOLDS = GestureRegistry([
+    GestureDef("none" if i == 3 else d.name, d.pattern, hold_frames=i % 4 + 1)
+    for i, d in enumerate(default_registry())])
+
+
+def corpus_lines(registry, seed, sigma, frames=12):
+    spec = SynthSpec.from_registry(registry, frames_per_gesture=frames, jitter_sigma=sigma,
+                                   seed=seed)
+    text = io.StringIO()
+    write_labelled(text, synth_corpus(spec))
+    return text.getvalue().splitlines()
+
+
+def events_outcome(lines, registry, params=DEFAULT_FINGER_PARAMS):
+    """(corpus path, frame path) results of the event tally, or each one's error (type, text)."""
+    outcomes = []
+    for run in (lambda: evaluate_corpus_events(lines, registry, params),
+                lambda: evaluate_events(read_labelled(lines), registry, params)):
+        try:
+            outcomes.append(run())
+        except HandwaveError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _nodes(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 40, 1.5, 10**400, float("nan"), "", "R",
+                              "none", "One_VRF", [], {}, [0.5, 0.5]])
+
+
+class TestEvaluateCorpusEvents:
+    """The array pass feeds the engine's debounce names; the tally equals the frame path's."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.03, 0.05])
+    @pytest.mark.parametrize("registry", [default_registry(), MIXED_HOLDS],
+                             ids=["stock", "mixed-holds"])
+    def test_arrays_give_the_frame_path_tally(self, monkeypatch, seed, sigma, registry):
+        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 7)  # runs cross chunk edges
+        tallied = []  # each path's labels and events; only step's onsets carry a cursor
+
+        def recording(stepped):
+            stepped = [(label, [(e.name, e.onset_ms, e.offset_ms) for e in events])
+                       for label, events in stepped]
+            tallied.append(stepped)
+            return tally((label, [GestureEvent(*e) for e in events]) for label, events in stepped)
+
+        tally = evaluate_module._event_tally
+        monkeypatch.setattr(evaluate_module, "_event_tally", recording)
+        corpus, frames = events_outcome(corpus_lines(registry, seed, sigma), registry)
+        assert corpus == frames and type(corpus) is dict
+        assert list(corpus["per_gesture"]) == list(frames["per_gesture"])
+        assert corpus["totals"]["detected"] > 0
+        assert tallied[0] == tallied[1] and any(events for _, events in tallied[0])
+
+    def test_gesture_named_none_is_never_expected(self):
+        lines = corpus_lines(MIXED_HOLDS, 3, 0.0)
+        corpus, frames = events_outcome(lines, MIXED_HOLDS)
+        assert corpus == frames and "none" not in corpus["per_gesture"]
+        assert corpus["totals"] == {"expected": 15, "detected": 15, "spurious": 0}
+        # Under another label its onset is spurious.
+        lines = [line.replace('"label":"none"', '"label":"Other"') for line in lines]
+        corpus, frames = events_outcome(lines, MIXED_HOLDS)
+        assert corpus == frames
+        assert corpus["per_gesture"]["Other"] == {"expected": 1, "detected": 0, "spurious": 0}
+        assert corpus["per_gesture"]["none"] == {"expected": 0, "detected": 0, "spurious": 1}
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_corpus_fails_alike(self, data):
+        lines = corpus_lines(MIXED_HOLDS, 4, 0.02, frames=2)
+        line = data.draw(st.integers(0, len(lines) - 1))
+        obj = json.loads(lines[line])
+        path = data.draw(st.sampled_from(list(_nodes(obj))))
+        if not path:
+            obj = data.draw(ODD_VALUES)
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(ODD_VALUES)
+        lines[line] = json.dumps(obj)
+        corpus, frames = events_outcome(lines, MIXED_HOLDS)
+        assert corpus == frames
+
+    def test_empty_corpus_rejected_as_evaluate_events_rejects_it(self):
+        assert events_outcome(["\n", " "], small_registry()) == \
+            [(DataError, "evaluate: empty stream")] * 2
+
+    @pytest.mark.parametrize("registry", [default_registry(), MIXED_HOLDS],
+                             ids=["stock", "mixed-holds"])
+    def test_advance_fed_names_gives_the_events_of_step(self, registry):
+        stepped, fed = GestureEngine(registry), GestureEngine(registry)
+        events = []
+        for frame, _ in read_labelled(corpus_lines(registry, 5, 0.05)):
+            want = stepped.step(frame)
+            fed.state.last_cursor = stepped.state.last_cursor  # step keeps the cursor
+            name = _classify_frame(frame, registry, DEFAULT_FINGER_PARAMS)
+            assert fed._advance(name, frame.t_ms) == want
+            events += want
+        assert fed.state == dataclasses.replace(stepped.state, last_t_ms=None)
+        assert {e.is_onset for e in events} == {True, False}

@@ -403,15 +403,15 @@ class TestLeanFramePath:
 # --- the labelled corpus as arrays against read_labelled ---------------------
 
 def arrays_outcome(lines):
-    """labelled_arrays' frames as (label, {side: point bytes}), or its error's (type, text)."""
+    """labelled_arrays' frames as (label, t, {side: point bytes}), or its error's (type, text)."""
     frames = []
     try:
         for chunk in streams.labelled_arrays(lines):
             assert chunk.points.dtype == np.float64 and chunk.points.shape[1:] == (21, 2)
             assert len(chunk.points) == len(chunk.frame_of) == len(chunk.side)
-            these = [(label, {}) for label in chunk.labels]
+            these = [(label, t, {}) for label, t in zip(chunk.labels, chunk.times, strict=True)]
             for pts, f, side in zip(chunk.points, chunk.frame_of, chunk.side):
-                these[f][1]["RL"[side]] = pts.tobytes()
+                these[f][2]["RL"[side]] = pts.tobytes()
             frames += these
     except HandwaveError as exc:
         return type(exc), str(exc)
@@ -421,7 +421,7 @@ def arrays_outcome(lines):
 def read_outcome(lines):
     """The same from read_labelled."""
     try:
-        return [(label, {h.handedness.value: h.points.tobytes() for h in frame.hands})
+        return [(label, frame.t_ms, {h.handedness.value: h.points.tobytes() for h in frame.hands})
                 for frame, label in read_labelled(lines)]
     except HandwaveError as exc:
         return type(exc), str(exc)
@@ -506,7 +506,7 @@ class TestLabelledArrays:
 
     def test_escaped_label_is_read(self):
         lines = [r'{"t": 0, "hands": [], "label": "\u00e9t\u00e9"}']
-        assert arrays_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", {})]
+        assert arrays_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", 0, {})]
 
     def test_negative_first_timestamp_gives_up(self):
         assert_same_error(['{"t": -1, "hands": []}'])
@@ -518,6 +518,7 @@ class TestLabelledArrays:
                  for t in range(5)]
         chunks = list(streams.labelled_arrays(lines))
         assert [c.labels for c in chunks] == [["0", "1"], ["2", "3"], ["4"]]
+        assert [c.times for c in chunks] == [[0, 1], [2, 3], [4]]
         assert [c.frame_of.tolist() for c in chunks] == [[1], [1], []]
         assert [c.side.tolist() for c in chunks] == [[1], [1], []]
         assert arrays_outcome(lines) == read_outcome(lines)
