@@ -306,7 +306,8 @@ def cmd_roc(args) -> int:
         "num_impostor": len(impostor),
     }
     if args.points:
-        result["points"] = [[p.threshold, p.far, p.frr] for p in sweep.points]
+        points = sweep.points
+        result["points"] = np.column_stack((points.thresholds, points.far, points.frr)).tolist()
     _emit(result)
     return 0
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -259,6 +260,14 @@ def encoder_backward(params: EncoderParams, anchors, positives, negatives,
     }, loss
 
 
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ValidationError unless ``value`` is a real number, or an integer (not a bool)."""
+    if integer and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdamState:
     """First/second moment accumulators plus hyperparameters for Adam."""
@@ -274,8 +283,7 @@ class AdamState:
     def __post_init__(self) -> None:
         for name in ("lr", "beta1", "beta2", "eps"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            _check_number(name, value)
             if name in ("lr", "eps") and not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
             if name.startswith("beta") and not 0.0 <= value < 1.0:  # 1 would divide by 0
@@ -399,16 +407,26 @@ def train(features: Mapping[str, np.ndarray], *,
     seeds give bit-identical results.
     """
     data = _check_features(features)
+    # Each argument's type is checked just before its value, so right-typed
+    # values fail in the order they always have.
+    _check_number("epochs", epochs, integer=True)
     if epochs < 1:
         raise ValidationError(f"epochs must be positive, got {epochs}")
+    _check_number("triplets_per_epoch", triplets_per_epoch, integer=True)
+    _check_number("batch_size", batch_size, integer=True)
     if triplets_per_epoch < 1 or batch_size < 1:
         raise ValidationError("triplets_per_epoch and batch_size must be positive")
+    _check_number("alpha", alpha)
     if not math.isfinite(alpha):
         raise ValidationError(f"alpha must be finite, got {alpha}")
+    _check_number("lr", lr)
     if not (lr > 0.0 and math.isfinite(lr)):
         raise ValidationError(f"lr must be positive and finite, got {lr}")
+    _check_number("seed", seed, integer=True)
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    _check_number("embed_dim", embed_dim, integer=True)
+    _check_number("hidden_dim", hidden_dim, integer=True)
     rng = np.random.default_rng(seed)
     input_dim = next(iter(data.values())).shape[1]
     params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng, normalize=normalize)
@@ -466,6 +484,15 @@ class AuthDecision:
     distance: float
     subject_id: str
 
+    @classmethod
+    def _checked(cls, accepted: bool, distance: float, subject_id: str) -> "AuthDecision":
+        """The decision ``cls(accepted, distance, subject_id)``, without the dataclass ``__init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "subject_id", subject_id)
+        return self
+
 
 def enroll(subject_id: str, samples, params: EncoderParams,
            threshold: float) -> EnrollmentRecord:
@@ -492,8 +519,7 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     # sqrt is monotone and correctly rounded, so the root of the least squared
     # distance is the least of the rooted distances, bit for bit.
     distance = math.sqrt(_squared_distances(record.anchors, embedded).min())
-    return AuthDecision(accepted=distance <= record.threshold,
-                        distance=distance, subject_id=record.subject_id)
+    return AuthDecision._checked(distance <= record.threshold, distance, record.subject_id)
 
 
 @dataclass(frozen=True)
@@ -503,11 +529,55 @@ class RocPoint:
     frr: float  # genuine rejection fraction at this threshold
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _RocPoints(Sequence):
+    """The points of a roc_sweep, kept as its read-only float64 arrays.
+
+    Each RocPoint is built when it is read. Slices are views of the same
+    kind; ``==``, ``hash`` and ``repr`` are those of the tuple of points.
+    """
+
+    thresholds: np.ndarray
+    far: np.ndarray
+    frr: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.thresholds, self.far, self.frr):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.thresholds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _RocPoints(self.thresholds[index], self.far[index], self.frr[index])
+        i = operator.index(index)
+        return RocPoint(float(self.thresholds[i]), float(self.far[i]), float(self.frr[i]))
+
+    def __iter__(self):
+        return map(RocPoint, self.thresholds.tolist(), self.far.tolist(), self.frr.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _RocPoints):
+            other = tuple(other)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RocSweep:
-    """FAR/FRR across every decision boundary the data distinguishes."""
+    """FAR/FRR across every decision boundary the data distinguishes.
 
-    points: tuple[RocPoint, ...]
+    From roc_sweep, ``points`` is a read-only sequence over the sweep's
+    ``thresholds``, ``far`` and ``frr`` arrays that reads as a tuple of points.
+    """
+
+    points: Sequence[RocPoint]
     eer_threshold: float
     eer: float
     best_accuracy_threshold: float
@@ -550,13 +620,11 @@ def roc_sweep(genuine, impostor) -> RocSweep:
     accepted_genuine = np.searchsorted(g_sorted, thresholds, side="right")
     far = accepted_impostors / im.shape[0]
     frr = 1.0 - accepted_genuine / g.shape[0]
-    points = tuple(RocPoint(float(t), float(fa), float(fr))
-                   for t, fa, fr in zip(thresholds, far, frr))
     eer_idx = int(np.argmin(np.abs(far - frr)))
     accuracy = (accepted_genuine + (im.shape[0] - accepted_impostors)) / (g.shape[0] + im.shape[0])
     best_idx = int(np.argmax(accuracy))
     return RocSweep(
-        points=points,
+        points=_RocPoints(thresholds, far, frr),
         eer_threshold=float(thresholds[eer_idx]),
         eer=float((far[eer_idx] + frr[eer_idx]) / 2.0),
         best_accuracy_threshold=float(thresholds[best_idx]),

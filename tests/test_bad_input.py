@@ -373,6 +373,39 @@ def test_bad_adam_hyperparameters_are_errors(entry, kwargs, message):
     assert str(info.value) == message
 
 
+# train's own arguments: a non-number is a ValidationError, not a bare
+# TypeError, and a bool is not an integer. Each argument's type is checked
+# just before its value, so a right-typed bad value ahead of it still wins.
+BAD_TRAIN = [
+    ("lr-string", {"lr": "0.1"}, "lr must be a real number, got '0.1'"),
+    ("lr-none", {"lr": None}, "lr must be a real number, got None"),
+    ("alpha-string", {"alpha": "0.2"}, "alpha must be a real number, got '0.2'"),
+    ("epochs-string", {"epochs": "2"}, "epochs must be an integer, got '2'"),
+    ("epochs-float", {"epochs": 2.0}, "epochs must be an integer, got 2.0"),
+    ("epochs-bool", {"epochs": True}, "epochs must be an integer, got True"),
+    ("seed-string", {"seed": "0"}, "seed must be an integer, got '0'"),
+    ("seed-float", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("triplets-string", {"triplets_per_epoch": "4"},
+     "triplets_per_epoch must be an integer, got '4'"),
+    ("batch-size-none", {"batch_size": None}, "batch_size must be an integer, got None"),
+    ("batch-size-bool", {"batch_size": False}, "batch_size must be an integer, got False"),
+    ("embed-dim-string", {"embed_dim": "3"}, "embed_dim must be an integer, got '3'"),
+    ("hidden-dim-float", {"hidden_dim": 4.0}, "hidden_dim must be an integer, got 4.0"),
+    ("epochs-type-before-lr", {"epochs": "2", "lr": 0.0}, "epochs must be an integer, got '2'"),
+    ("lr-type-before-seed", {"lr": "0.1", "seed": -1}, "lr must be a real number, got '0.1'"),
+    ("seed-type-before-dims", {"seed": "0", "embed_dim": 0}, "seed must be an integer, got '0'"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", [case[1:] for case in BAD_TRAIN],
+                         ids=[case[0] for case in BAD_TRAIN])
+def test_bad_train_arguments_are_errors(kwargs, message):
+    features = {f"s{i}": np.full((2, 3), float(i)) for i in range(2)}
+    with pytest.raises(ValidationError) as info:
+        train(features, **{"epochs": 1, **kwargs})
+    assert str(info.value) == message
+
+
 def _hand(side, bits, conf=None):
     hand = {"hd": side, "pts": hand_template(PostureArray(bits), Handedness(side)).points.tolist()}
     if conf is not None:

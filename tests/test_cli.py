@@ -30,6 +30,7 @@ from handwave import (
 )
 from handwave import _jsonio, cli
 from handwave.cli import main
+from test_palmauth import eager_roc_points
 
 
 def run_cli(capsys, *argv):
@@ -364,12 +365,14 @@ class TestPalmCommands:
         impostor = [euclidean_distance(a, b) for i, e in enumerate(embedded)
                     for f in embedded[i + 1:] for a in e for b in f]
         sweep = roc_sweep(genuine, impostor)
-        assert obj == {
+        # Byte for byte, with the rows written from one RocPoint each.
+        assert out == _jsonio.dumps({
             "eer_threshold": sweep.eer_threshold, "eer": sweep.eer,
             "best_accuracy_threshold": sweep.best_accuracy_threshold,
             "best_accuracy": sweep.best_accuracy,
             "num_genuine": len(genuine), "num_impostor": len(impostor),
-            "points": [[p.threshold, p.far, p.frr] for p in sweep.points]}
+            "points": [[p.threshold, p.far, p.frr]
+                       for p in eager_roc_points(genuine, impostor)]}) + "\n"
 
 
 class TestOutFiles:

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 
 from handwave import (
     AdamState,
+    AuthDecision,
     DataError,
     DimensionError,
     EmptyBatchError,
     EncoderParams,
     EnrollmentRecord,
     NumericsError,
+    RocPoint,
     ValidationError,
     adam_step,
     encoder_backward,
@@ -42,6 +44,7 @@ from handwave import (
     triplet_loss,
     verify,
 )
+from handwave import palmauth
 from handwave.palmauth import NORMALIZE_EPS, pairwise_distances
 
 FD_H = 1e-5
@@ -52,6 +55,21 @@ def rel_error(analytic, numeric):
     # the floor absorbs central-difference noise when the true gradient is zero
     denom = max(float(np.linalg.norm(analytic)), float(np.linalg.norm(numeric)), 1e-6)
     return float(np.linalg.norm(np.asarray(analytic) - np.asarray(numeric))) / denom
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes that ``fn(*args)`` allocates at its peak, above what was live before."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 class TestEuclideanDistance:
@@ -93,20 +111,9 @@ class TestEuclideanDistance:
     def test_pairwise_peak_memory_is_one_temporary(self):
         rng = np.random.default_rng(11)
         a, b = rng.normal(size=(240, 32)), rng.normal(size=(240, 32))
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            pairwise_distances(a, b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
         # The (N, M, D) difference is squared in place; a second live copy
         # would double the peak.
-        assert peak - before < 1.5 * 240 * 240 * 32 * 8
+        assert traced_peak(pairwise_distances, a, b) < 1.5 * 240 * 240 * 32 * 8
 
     def test_metric_axioms_on_embeddings(self):
         rng = np.random.default_rng(2)
@@ -520,6 +527,17 @@ class TestEnrollVerify:
         by_hand = min(euclidean_distance(embedded, anchor) for anchor in record.anchors)
         assert decision.distance == by_hand
 
+    def test_decision_is_the_dataclass_one(self):
+        params = self.setup_params()
+        record = enroll("joy", np.ones((2, 5)), params, threshold=0.5)
+        decision = verify(np.full(5, 1.5), record, params)
+        built = AuthDecision(decision.accepted, decision.distance, "joy")
+        assert type(decision) is AuthDecision and type(decision.accepted) is bool
+        assert decision == built and hash(decision) == hash(built)
+        assert repr(decision) == repr(built) and vars(decision) == vars(built)
+        with pytest.raises(AttributeError):
+            decision.accepted = not decision.accepted
+
     def test_monotonicity(self):
         params = self.setup_params()
         rng = np.random.default_rng(41)
@@ -815,6 +833,94 @@ class TestRoc:
             roc_sweep([0.5], [])
         with pytest.raises(DataError):
             error_rates([], [0.5], 0.5)
+
+
+def eager_roc_points(genuine, impostor) -> tuple[RocPoint, ...]:
+    """The sweep's points as roc_sweep first built them: one RocPoint per threshold."""
+    g = np.asarray(genuine, dtype=np.float64)
+    im = np.asarray(impostor, dtype=np.float64)
+    thresholds = np.append(np.unique(np.concatenate([g, im, [0.0]])), np.inf)
+    far = np.searchsorted(np.sort(im), thresholds, side="right") / im.shape[0]
+    frr = 1.0 - np.searchsorted(np.sort(g), thresholds, side="right") / g.shape[0]
+    return tuple(RocPoint(float(t), float(fa), float(fr))
+                 for t, fa, fr in zip(thresholds, far, frr))
+
+
+def _sweep_inputs():
+    rng = np.random.default_rng(61)
+    ties = rng.integers(0, 6, 50) / 4.0  # ties within and across the two sides
+    return {
+        "single": ([0.3], [0.7]),
+        "zeros": ([0.0, 0.0], [0.0]),
+        "same-value": ([0.5], [0.5, 0.5]),
+        "ties": (ties[:20], ties[20:]),
+        "duplicates": (np.repeat(rng.uniform(0, 1, 10), 3), rng.uniform(0, 2, 40)),
+        "uniform": (rng.uniform(0, 1, 200), rng.uniform(0.4, 1.6, 700)),
+    }
+
+
+SWEEP_INPUTS = _sweep_inputs()
+
+
+class TestSweepOracle:
+    """roc_sweep's points equal the eager construction bit for bit."""
+
+    @staticmethod
+    def bits(points):
+        return [(p.threshold.hex(), p.far.hex(), p.frr.hex()) for p in points]
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_INPUTS))
+    def test_points_read_as_the_eager_tuple(self, case):
+        genuine, impostor = SWEEP_INPUTS[case]
+        points, want = roc_sweep(genuine, impostor).points, eager_roc_points(genuine, impostor)
+        assert tuple(points) == want and self.bits(points) == self.bits(want)
+        assert len(points) == len(want)
+        assert self.bits([points[i] for i in range(-len(want), len(want))]) == \
+            self.bits(want + want)
+        assert self.bits(reversed(points)) == self.bits(reversed(want))
+        for part in (slice(None), slice(1, 3), slice(None, None, -2), slice(4, 1), slice(-2, None)):
+            assert points[part] == want[part] and self.bits(points[part]) == self.bits(want[part])
+        assert points == want and want == points and not points != want
+        assert hash(points) == hash(want) and repr(points) == repr(want)
+        assert points != list(want)  # a tuple never equals a list
+
+    def test_sweeps_compare_as_with_a_tuple(self):
+        genuine, impostor = SWEEP_INPUTS["ties"]
+        sweep = roc_sweep(genuine, impostor)
+        eager = replace(sweep, points=eager_roc_points(genuine, impostor))
+        assert sweep == eager and hash(sweep) == hash(eager) and repr(sweep) == repr(eager)
+        assert sweep == roc_sweep(genuine, impostor)
+
+    def test_points_are_read_only(self):
+        points = roc_sweep(*SWEEP_INPUTS["uniform"]).points
+        for arr in (points.thresholds, points.far, points.frr):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+        with pytest.raises(TypeError):
+            points[0] = RocPoint(0.0, 0.0, 0.0)
+        with pytest.raises(IndexError):
+            points[len(points)]
+        with pytest.raises(TypeError):
+            points[1.0]
+
+
+class TestSweepLaziness:
+    def test_summary_builds_no_point(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(palmauth, "RocPoint", lambda *a: built.append(a) or RocPoint(*a))
+        sweep = roc_sweep(*SWEEP_INPUTS["uniform"])
+        summary = (sweep.eer_threshold, sweep.eer, sweep.best_accuracy_threshold,
+                   sweep.best_accuracy)
+        assert built == [] and len(summary) == 4
+        sweep.points[3]
+        assert len(built) == 1
+
+    def test_sweep_peak_memory_is_arrays(self):
+        rng = np.random.default_rng(101)
+        genuine, impostor = rng.uniform(0.0, 1.0, 10_000), rng.uniform(0.5, 2.0, 90_000)
+        # 100k distances (about 100k thresholds): the arrays peak at 6.5 MB,
+        # against 24.1 MB when a RocPoint was built per threshold (numpy 2.4,
+        # CPython 3.11).
+        assert traced_peak(roc_sweep, genuine, impostor) < 12e6
 
 
 class TestPersistence:
