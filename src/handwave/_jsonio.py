@@ -4,20 +4,63 @@ Every file handwave reads is ASCII JSON: one whole document, or one document
 per non-blank line. Each reader names the HandwaveError subclass its failures
 raise, so a bad byte, bad syntax and a bad value all end as ``error: ...``.
 Everything handwave writes is compact ASCII JSON, one document per line.
+A number read from JSON goes through ``number`` or ``number_array``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import nullcontext
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from .errors import HandwaveError, ParseError
 
-# What converting a decoded JSON value to a number can raise: a string or a
-# list (ValueError, TypeError), or an integer too large for a float.
+# What numpy's conversion of decoded JSON rows can raise; only the prediction
+# rows and confidence maps are read that way, for speed (see README).
 NUMBER_ERRORS = (TypeError, ValueError, OverflowError)
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def number(value: Any, where: str, error: type[HandwaveError], integer: bool = False) -> float:
+    """A decoded JSON number as a float, or as an int when ``integer``.
+
+    It must be an int or a float (never a bool, a string or None), an int if
+    ``integer``, and finite; otherwise ``error`` names ``where``.
+    """
+    if type(value) is not int and (integer or type(value) is not float):
+        raise error(f"{where}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return value if integer else float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise error(f"{where}: must be finite, got {value!r}")
+
+
+def number_array(value: Any, where: str, error: type[HandwaveError], ndim: int = 1) -> np.ndarray:
+    """Lists of numbers nested ``ndim`` deep (1 or 2) as a float64 array.
+
+    Each element must pass ``number`` and each row have the first row's
+    length; otherwise ``error`` names the first bad one, as ``<where>[i][j]``.
+    """
+    if type(value) is not list:
+        raise error(f"{where}: expected a list, got {type(value).__name__}")
+    if ndim > 1:
+        rows = [number_array(row, f"{where}[{i}]", error, ndim - 1) for i, row in enumerate(value)]
+        for i, row in enumerate(rows):
+            if row.shape != rows[0].shape:
+                raise error(f"{where}[{i}]: expected length {len(rows[0])}, got {len(row)}")
+        return np.array(rows) if rows else np.empty((0,) * ndim)
+    try:  # a NaN or an infinity makes the sum non-finite; the loop below names it
+        if set(map(type, value)) <= _NUMBER_TYPES and math.isfinite(sum(value)):
+            return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range, named below
+        pass
+    return np.array([number(v, f"{where}[{i}]", error) for i, v in enumerate(value)])
 
 
 def _open_text(path: str | os.PathLike):
@@ -54,6 +97,14 @@ def json_lines(source: Iterable[str] | str | os.PathLike,
         for n, line in enumerate(lines, start=1):
             if line.strip():
                 yield n, _loads(line, f"line {n}: ", error)
+
+
+def line_records(source: Iterable[str] | str | os.PathLike, build: Callable) -> Iterator:
+    """Yield ``build(obj)`` for each line's object; a fault in it names the line."""
+    for n, obj in json_lines(source):
+        with at_line(n):
+            record = build(obj)
+        yield record
 
 
 def dumps(obj: Any) -> str:

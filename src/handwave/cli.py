@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import control, detect, gestures, palmauth, streams, synth
-from ._jsonio import NUMBER_ERRORS, read_json, write_lines
+from ._jsonio import line_records, number, number_array, read_json, write_lines
 from .errors import ConfigError, DataError, HandwaveError
 from .evaluate import (
     evaluate as evaluate_pairs,  # unused here; perfbench's tracer wraps it by this name
@@ -53,25 +54,12 @@ def _load_config(path: str | None) -> dict:
     return obj
 
 
-def _setting(config: dict, section: str, key: str, default, kind=float):
-    """One numeric setting of a config section, converted by ``kind``.
-
-    Only a JSON number is taken: ``true`` and ``"0.5"`` convert but are
-    rejected, and an integer setting rejects a fraction instead of truncating.
-    """
+def _setting(config: dict, section: str, key: str, default, integer: bool = False):
+    """One numeric setting of a config section: a JSON number, or an integer."""
     part = config.get(section, {})
     if not isinstance(part, dict):
         raise ConfigError(f"config: {section} must be an object")
-    value = part.get(key, default)
-    try:
-        number = kind(value)
-    except NUMBER_ERRORS:
-        number = None
-    if number is None or isinstance(value, (bool, str)):
-        raise ConfigError(f"config: {section}.{key} must be a number, got {value!r}")
-    if kind is int and number != value:
-        raise ConfigError(f"config: {section}.{key} must be an integer, got {value!r}")
-    return number
+    return number(part.get(key, default), f"config: {section}.{key}", ConfigError, integer)
 
 
 def _finger_params(config: dict) -> gestures.FingerStateParams:
@@ -85,7 +73,7 @@ def _controller(config: dict) -> control.ControllerConfig:
     return control.ControllerConfig(
         deadzone=_setting(config, "controller", "deadzone", 0.05),
         gain=_setting(config, "controller", "gain", 40.0),
-        max_steps=_setting(config, "controller", "max_steps", 20, int),
+        max_steps=_setting(config, "controller", "max_steps", 20, integer=True),
     )
 
 
@@ -125,22 +113,23 @@ def cmd_eval(args) -> int:
 
 # decode, keypoints and replay hand write_lines generators: --out exists before input is read.
 def cmd_decode(args) -> int:
-    def results():
-        for record in detect.read_predictions(args.preds):
-            boxes = detect.decode_record(
-                record, iou_thresh=args.iou_thresh, score_thresh=args.score_thresh)
-            yield {"boxes": [[b.cx, b.cy, b.w, b.h, b.score] for b in boxes]}
-    write_lines(args.out or sys.stdout, results())
+    def boxes(obj) -> dict:
+        record = detect._prediction_record(obj)
+        kept = detect.decode_record(record, args.iou_thresh, args.score_thresh)
+        return {"boxes": [[b.cx, b.cy, b.w, b.h, b.score] for b in kept]}
+    write_lines(args.out or sys.stdout, line_records(args.preds, boxes))
     return 0
 
 
 def cmd_keypoints(args) -> int:
-    def frames():
-        for i, record in enumerate(detect.read_confidence_maps(args.maps)):
-            region = record.region if record.region is not None else detect.FULL_IMAGE
-            lms = detect.decode_keypoints(record.maps, region, Handedness.RIGHT)
-            yield HandFrame(t_ms=i * 40, hands=(lms,))
-    streams.write_frames(args.out or sys.stdout, frames())
+    times = itertools.count(0, 40)
+
+    def frame(obj) -> dict:  # validated here, so that a coordinate fault names its line
+        record = detect._confidence_map_record(obj)
+        region = record.region if record.region is not None else detect.FULL_IMAGE
+        lms = detect.decode_keypoints(record.maps, region, Handedness.RIGHT)
+        return streams._line_obj(HandFrame(t_ms=next(times), hands=(lms,)))
+    write_lines(args.out or sys.stdout, line_records(args.maps, frame))
     return 0
 
 
@@ -273,12 +262,7 @@ def cmd_verify(args) -> int:
     probe_obj = read_json(args.probe, "probe", DataError)
     if not isinstance(probe_obj, dict) or not isinstance(probe_obj.get("features"), list):
         raise DataError("probe: expected {\"features\": [reals]}")
-    try:
-        probe = np.asarray(probe_obj["features"], dtype=np.float64)
-    except NUMBER_ERRORS as exc:
-        raise DataError(f"probe: features must be numbers ({exc})") from exc
-    if not np.isfinite(probe).all():
-        raise DataError("probe: features must be finite")
+    probe = number_array(probe_obj["features"], "probe: features", DataError)
     decision = palmauth.verify(probe, record, params)
     _emit({"accepted": decision.accepted, "distance": decision.distance,
            "subject": decision.subject_id})

@@ -23,7 +23,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._jsonio import NUMBER_ERRORS, at_line, json_lines
+from ._jsonio import NUMBER_ERRORS, line_records, number, number_array
 from .errors import ConfigError, DecodeError, ValidationError
 from .model import NUM_LANDMARKS, Handedness, LandmarkSet
 
@@ -143,22 +143,23 @@ class AnchorConfig:
     def from_obj(cls, obj: Any) -> "AnchorConfig":
         if not isinstance(obj, dict):
             raise ConfigError("anchors: expected an object")
-        try:
-            layers = tuple(
-                LayerSpec(
-                    grid_w=int(layer["grid_w"]),
-                    grid_h=int(layer["grid_h"]),
-                    scales=tuple(layer["scales"]),
-                    aspect_ratios=tuple(layer["aspect_ratios"]),
-                )
-                for layer in obj["layers"]
-            )
-            center_variance = float(obj.get("center_variance", 0.1))
-            size_variance = float(obj.get("size_variance", 0.2))
-        except (KeyError, *NUMBER_ERRORS) as exc:
-            raise ConfigError(f"anchors: bad layer spec ({exc})") from exc
-        return cls(layers=layers, center_variance=center_variance,
-                   size_variance=size_variance)
+        layers = obj.get("layers")
+        if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
+            raise ConfigError("anchors: layers must be a list of objects")
+        specs = []
+        for i, layer in enumerate(layers):
+            where = f"anchors: layers[{i}]"
+            specs.append(LayerSpec(
+                grid_w=number(layer.get("grid_w"), f"{where}.grid_w", ConfigError, integer=True),
+                grid_h=number(layer.get("grid_h"), f"{where}.grid_h", ConfigError, integer=True),
+                scales=number_array(layer.get("scales"), f"{where}.scales", ConfigError),
+                aspect_ratios=number_array(
+                    layer.get("aspect_ratios"), f"{where}.aspect_ratios", ConfigError)))
+        return cls(layers=specs,
+                   center_variance=number(obj.get("center_variance", 0.1),
+                                          "anchors: center_variance", ConfigError),
+                   size_variance=number(obj.get("size_variance", 0.2),
+                                        "anchors: size_variance", ConfigError))
 
     def to_obj(self) -> dict:
         return {
@@ -322,21 +323,14 @@ def decode_keypoints(maps: np.ndarray,
         raise ValidationError("maps: values must be non-negative")
     left = region.cx - region.w / 2
     top = region.cy - region.h / 2
-    points = np.empty((NUM_LANDMARKS, 2), dtype=np.float64)
-    conf = np.empty(NUM_LANDMARKS, dtype=np.float64)
-    for k in range(NUM_LANDMARKS):
-        grid = grids[k]
-        peak = grid.max()
-        if peak == 0.0:
-            u, v = 0.5, 0.5
-            conf[k] = 0.0
-        else:
-            flat = int(grid.argmax())
-            row, col = divmod(flat, width)
-            u = (col + 0.5) / width
-            v = (row + 0.5) / height
-            conf[k] = min(float(peak), 1.0)
-        points[k] = (left + u * region.w, top + v * region.h)
+    flat = grids.reshape(NUM_LANDMARKS, -1)
+    peak = flat.max(axis=1)
+    row, col = np.divmod(flat.argmax(axis=1), width)
+    lit = peak != 0.0  # an all-zero map gives the region centre
+    u = np.where(lit, (col + 0.5) / width, 0.5)
+    v = np.where(lit, (row + 0.5) / height, 0.5)
+    points = np.column_stack((left + u * region.w, top + v * region.h))
+    conf = np.where(lit, np.minimum(peak, 1.0), 0.0)
     return LandmarkSet(points=points, handedness=handedness, confidences=conf)
 
 
@@ -348,7 +342,7 @@ class PredictionRecord:
     preds: np.ndarray  # (N, 5) float64: logit, tx, ty, tw, th
 
     def __post_init__(self) -> None:
-        try:
+        try:  # numpy's conversion, for speed: it takes true as 1.0 and "0.5" as 0.5
             preds = np.asarray(self.preds, dtype=np.float64)
         except NUMBER_ERRORS as exc:
             raise ValidationError(f"preds: expected rows of numbers ({exc})") from exc
@@ -364,19 +358,20 @@ class PredictionRecord:
         object.__setattr__(self, "preds", preds)
 
 
+def _prediction_record(obj: Any) -> PredictionRecord:
+    if not isinstance(obj, dict) or "anchors_cfg" not in obj or "preds" not in obj:
+        raise ValidationError("expected fields 'anchors_cfg' and 'preds'")
+    return PredictionRecord(anchors_cfg=AnchorConfig.from_obj(obj["anchors_cfg"]),
+                            preds=obj["preds"])
+
+
 def read_predictions(source: Iterable[str] | str | Path) -> Iterator[PredictionRecord]:
     """Yield PredictionRecords from raw-prediction JSONL.
 
     Line schema: {"anchors_cfg": {...}, "preds": [[logit, tx, ty, tw, th] * N]}
     where N must equal the anchor count the config defines.
     """
-    for n, obj in json_lines(source):
-        with at_line(n):
-            if not isinstance(obj, dict) or "anchors_cfg" not in obj or "preds" not in obj:
-                raise ValidationError("expected fields 'anchors_cfg' and 'preds'")
-            record = PredictionRecord(anchors_cfg=AnchorConfig.from_obj(obj["anchors_cfg"]),
-                                      preds=obj["preds"])
-        yield record
+    return line_records(source, _prediction_record)
 
 
 def decode_record(record: PredictionRecord,
@@ -417,6 +412,29 @@ class ConfidenceMapRecord:
     region: BBox | None = None
 
 
+def _confidence_map_record(obj: Any) -> ConfidenceMapRecord:
+    if not isinstance(obj, dict):
+        raise ValidationError("expected an object")
+    height = number(obj.get("h"), "h", ValidationError, integer=True)
+    width = number(obj.get("w"), "w", ValidationError, integer=True)
+    rows = obj.get("maps")
+    if height < 1 or width < 1:
+        raise ValidationError(f"h and w must be at least 1, got h={height}, w={width}")
+    if not isinstance(rows, list) or len(rows) != NUM_LANDMARKS:
+        raise ValidationError(f"expected {NUM_LANDMARKS} maps")
+    try:  # numpy's conversion, for speed: it takes true as 1.0 and "0.5" as 0.5
+        grids = np.asarray(rows, dtype=np.float64).reshape(NUM_LANDMARKS, height, width)
+    except NUMBER_ERRORS as exc:
+        raise ValidationError(f"map size does not match h*w ({exc})") from exc
+    region = None
+    if "region" in obj:
+        vals = obj["region"]
+        if not isinstance(vals, list) or len(vals) != 4:
+            raise ValidationError("region must be [cx, cy, w, h]")
+        region = BBox(*number_array(vals, "region", ValidationError).tolist(), 1.0)
+    return ConfidenceMapRecord(maps=grids, region=region)
+
+
 def read_confidence_maps(source: Iterable[str] | str | Path) -> Iterator[ConfidenceMapRecord]:
     """Yield confidence-map records from JSONL.
 
@@ -424,33 +442,7 @@ def read_confidence_maps(source: Iterable[str] | str | Path) -> Iterator[Confide
     optional "region": [cx, cy, w, h] locating the maps inside the image
     (full image when absent).
     """
-    for n, obj in json_lines(source):
-        with at_line(n):
-            if not isinstance(obj, dict):
-                raise ValidationError("expected an object")
-            try:
-                height, width = int(obj["h"]), int(obj["w"])
-                rows = obj["maps"]
-            except (KeyError, *NUMBER_ERRORS) as exc:
-                raise ValidationError(f"expected fields 'h', 'w', 'maps' ({exc})") from exc
-            if height < 1 or width < 1:
-                raise ValidationError(f"h and w must be at least 1, got h={height}, w={width}")
-            if not isinstance(rows, list) or len(rows) != NUM_LANDMARKS:
-                raise ValidationError(f"expected {NUM_LANDMARKS} maps")
-            try:
-                grids = np.asarray(rows, dtype=np.float64).reshape(NUM_LANDMARKS, height, width)
-            except NUMBER_ERRORS as exc:
-                raise ValidationError(f"map size does not match h*w ({exc})") from exc
-            region = None
-            if "region" in obj:
-                vals = obj["region"]
-                if not isinstance(vals, list) or len(vals) != 4:
-                    raise ValidationError("region must be [cx, cy, w, h]")
-                try:
-                    region = BBox(*(float(v) for v in vals), 1.0)
-                except NUMBER_ERRORS as exc:
-                    raise ValidationError(f"region: values must be numbers ({exc})") from exc
-        yield ConfidenceMapRecord(maps=grids, region=region)
+    return line_records(source, _confidence_map_record)
 
 
 FULL_IMAGE = BBox(0.5, 0.5, 1.0, 1.0, 1.0)

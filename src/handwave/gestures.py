@@ -26,7 +26,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ._jsonio import read_json
+from ._jsonio import number, read_json
 from .errors import StreamOrderError, ValidationError
 from .model import (
     FINGERS,
@@ -384,9 +384,8 @@ def registry_from_obj(obj: Any) -> GestureRegistry:
             )
         else:
             raise ValidationError(f"{path}: pattern must hold 'single' or 'double'")
-        hold = entry.get("hold_frames", 5)
-        if isinstance(hold, bool) or not isinstance(hold, int):
-            raise ValidationError(f"{path}: hold_frames must be an integer")
+        hold = number(entry.get("hold_frames", 5), f"{path}.hold_frames", ValidationError,
+                      integer=True)
         defs.append(GestureDef(name=name, pattern=pattern, hold_frames=hold))
     return GestureRegistry(defs)
 

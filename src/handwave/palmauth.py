@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonio import NUMBER_ERRORS, at_line, json_lines, read_json, write_lines
+from ._jsonio import at_line, json_lines, number, number_array, read_json, write_lines
 from .errors import (
     DataError,
     DimensionError,
@@ -140,6 +140,8 @@ class EncoderParams:
     normalize: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.normalize) is not bool:  # a truthy "false" would normalise
+            raise ValidationError(f"normalize must be a bool, got {self.normalize!r}")
         w1 = np.asarray(self.w1, dtype=np.float64)
         b1 = np.asarray(self.b1, dtype=np.float64)
         w2 = np.asarray(self.w2, dtype=np.float64)
@@ -638,19 +640,14 @@ def roc_sweep(genuine, impostor) -> RocSweep:
 
 def load_features(source: Iterable[str] | str | Path) -> dict[str, np.ndarray]:
     """Read a feature dataset: JSONL of {"subject": str, "features": [reals]}."""
-    rows: dict[str, list[list[float]]] = {}
+    rows: dict[str, list[np.ndarray]] = {}
     dim: int | None = None
     for n, obj in json_lines(source, DataError):
         with at_line(n):
             if not isinstance(obj, dict) or not isinstance(obj.get("subject"), str) \
                     or not isinstance(obj.get("features"), list):
                 raise DataError("expected fields 'subject' and 'features'")
-            try:
-                vec = [float(v) for v in obj["features"]]
-            except NUMBER_ERRORS as exc:
-                raise DataError(f"features must be numeric: {exc}") from exc
-            if not all(math.isfinite(v) for v in vec):
-                raise DataError("features must be finite")
+            vec = number_array(obj["features"], "features", DataError)
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
@@ -710,27 +707,23 @@ def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
     obj = read_json(path, "store", DataError)
     if not isinstance(obj, dict) or obj.get("version") != STORE_VERSION:
         raise DataError(f"store: expected version {STORE_VERSION}")
-    try:
-        normalize = bool(obj["normalize"])
-        dim = int(obj["dim"])
-        entries = obj["records"]
-    except (KeyError, *NUMBER_ERRORS) as exc:
-        raise DataError(f"store: missing or bad field ({exc})") from exc
-    for key, kind in (("normalize", bool), ("dim", int)):  # not "false" (truthy), 2.9 or "2"
-        if type(obj[key]) is not kind:
+    for key, kind in (("normalize", bool), ("dim", int), ("records", list)):  # not "false" or 2.9
+        if type(obj.get(key)) is not kind:
             raise DataError(f"store: missing or bad field ({key!r})")
-    if not isinstance(entries, list):
-        raise DataError("store: records must be a list")
+    normalize, dim, entries = obj["normalize"], obj["dim"], obj["records"]
     records = []
     for i, entry in enumerate(entries):
+        where = f"store: records[{i}]"
+        if not isinstance(entry, dict):
+            raise DataError(f"{where}: missing or bad field (expected an object)")
         try:
             record = EnrollmentRecord(
                 subject_id=entry["subject"],
-                anchors=np.asarray(entry["anchors"], dtype=np.float64),
-                threshold=float(entry["threshold"]),
+                anchors=number_array(entry["anchors"], f"{where}.anchors", DataError, ndim=2),
+                threshold=number(entry["threshold"], f"{where}.threshold", DataError),
             )
-        except (KeyError, *NUMBER_ERRORS) as exc:
-            raise DataError(f"store: records[{i}]: missing or bad field ({exc})") from exc
+        except KeyError as exc:
+            raise DataError(f"{where}: missing or bad field ({exc})") from exc
         if record.anchors.shape[1] != dim:
             raise DataError(
                 f"store: record {record.subject_id!r} dimension {record.anchors.shape[1]} != {dim}")
@@ -752,17 +745,11 @@ def save_params(path: str | Path, params: EncoderParams) -> None:
 
 def load_params(path: str | Path) -> EncoderParams:
     obj = read_json(path, "params", DataError)
-    try:
-        params = EncoderParams(
-            w1=np.asarray(obj["w1"], dtype=np.float64),
-            b1=np.asarray(obj["b1"], dtype=np.float64),
-            w2=np.asarray(obj["w2"], dtype=np.float64),
-            b2=np.asarray(obj["b2"], dtype=np.float64),
-            normalize=bool(obj["normalize"]),
-        )
-    except (KeyError, *NUMBER_ERRORS) as exc:
-        raise DataError(f"params: missing or bad field ({exc})") from exc
-    if type(obj["normalize"]) is not bool:  # bool("false") is True
+    if not isinstance(obj, dict) or type(obj.get("normalize")) is not bool:  # bool("false") is True
         raise DataError("params: missing or bad field ('normalize')")
-    return params
-
+    try:
+        arrays = {key: number_array(obj[key], f"params: {key}", DataError, ndim)
+                  for key, ndim in (("w1", 2), ("b1", 1), ("w2", 2), ("b2", 1))}
+    except KeyError as exc:
+        raise DataError(f"params: missing or bad field ({exc})") from exc
+    return EncoderParams(**arrays, normalize=obj["normalize"])

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
-from ._jsonio import at_line, dumps, json_lines, write_lines
+from ._jsonio import _NUMBER_TYPES, at_line, dumps, json_lines, number, write_lines
 from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
@@ -30,23 +30,10 @@ _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
 _SIDE_INDEX = {"R": 0, "L": 1}
 _HANDEDNESS = (Handedness.RIGHT, Handedness.LEFT)
-_NUMBER_TYPES = frozenset((float, int))
-
-
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}: expected a number, got {value!r}")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValidationError(f"{path}: must be finite, got {value!r}") from None
-    if out != out or out in (float("inf"), float("-inf")):
-        raise ValidationError(f"{path}: must be finite, got {value!r}")
-    return out
 
 
 def _unit_number(value: Any, path: str) -> float:
-    out = _number(value, path)
+    out = number(value, path, ValidationError)
     if not 0.0 <= out <= 1.0:
         raise ValidationError(f"{path}: must lie in [0, 1], got {value!r}")
     return out

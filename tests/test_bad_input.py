@@ -110,6 +110,8 @@ COMMANDS = {
     "track": ["--frames", "frames.jsonl", "--uri", "serial:port", "--config", "config.json"],
     "synth": ["--registry", "registry.json", "--frames", "2", "--config", "config.json"],
     "train": ["--data", "data.jsonl", "--out", "trained.json", "--epochs", "2"],
+    "enroll": ["--store", "enrolled.json", "--subject", "s0", "--data", "data.jsonl",
+               "--params", "params.json"],
 }
 
 
@@ -168,6 +170,19 @@ def _corpus(*edits):
     return "".join(json.dumps(obj) + "\n" for obj in lines).encode()
 
 
+def _lines(*objs):
+    return "".join(json.dumps(obj) + "\n" for obj in objs).encode()
+
+
+MAPS = {"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21}
+PREDS = {"anchors_cfg": ANCHORS, "preds": [[0, 0, 0, 0, 0]]}
+
+
+def _preds(**fields):
+    """A prediction line whose one anchor layer has ``fields`` set."""
+    return _with(PREDS, anchors_cfg={"layers": [{**ANCHORS["layers"][0], **fields}]})
+
+
 def _first_point(pair):
     return [{"hd": "R", "pts": [pair] + [[0.5, 0.5]] * 20}]
 
@@ -222,7 +237,7 @@ BAD_INPUTS = [
     ("region-non-numeric", "keypoints", "maps.jsonl",
      json.dumps({"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21,
                  "region": ["a", 0.5, 0.5, 0.5]}).encode(),
-     "error: line 1: region: values must be numbers"),
+     "error: line 1: region[0]: expected a number, got 'a'\n"),
     ("maps-negative-size", "keypoints", "maps.jsonl",
      json.dumps({"h": -1, "w": 2, "maps": [[0, 0, 0, 1]] * 21}).encode(),
      "error: line 1: h and w must be at least 1, got h=-1, w=2"),
@@ -232,11 +247,11 @@ BAD_INPUTS = [
     ("anchors-grid-non-numeric", "decode", "preds.jsonl",
      json.dumps({"anchors_cfg": {"layers": [{**ANCHORS["layers"][0], "grid_w": "x"}]},
                  "preds": [[0, 0, 0, 0, 0]]}).encode(),
-     "error: line 1: anchors: bad layer spec"),
+     "error: line 1: anchors: layers[0].grid_w: expected an integer, got 'x'\n"),
     ("anchors-variance-non-numeric", "decode", "preds.jsonl",
      json.dumps({"anchors_cfg": {**ANCHORS, "size_variance": [1]},
                  "preds": [[0, 0, 0, 0, 0]]}).encode(),
-     "error: line 1: anchors: bad layer spec"),
+     "error: line 1: anchors: size_variance: expected a number, got [1]\n"),
     ("store-record-no-subject", "verify", "store.json",
      _store_record({"threshold": 0.5, "anchors": [[0.6, 0.8]]}),
      "error: store: records[0]: missing or bad field ('subject')"),
@@ -244,7 +259,7 @@ BAD_INPUTS = [
      "error: store: records[0]: missing or bad field"),
     ("store-anchors-non-numeric", "verify", "store.json",
      _store_record({"subject": "s0", "threshold": 0.5, "anchors": [["a", "b"]]}),
-     "error: store: records[0]: missing or bad field"),
+     "error: store: records[0].anchors[0][0]: expected a number, got 'a'\n"),
     ("store-dim-infinite", "verify", "store.json", _with(STORE, dim=float("inf")),
      "error: store: missing or bad field"),
     ("store-normalize-string", "verify", "store.json", _with(STORE, normalize="false"),
@@ -258,11 +273,11 @@ BAD_INPUTS = [
     ("roc-one-subject", "roc", "data.jsonl", _features("s0", "s0", "s0"), NO_PAIRS),
     ("roc-one-sample-each", "roc", "data.jsonl", _features("s0", "s1", "s2"), NO_PAIRS),
     ("probe-non-numeric", "verify", "probe.json", b'{"features": ["a", 1, 2, 3]}',
-     "error: probe: features must be numbers"),
+     "error: probe: features[0]: expected a number, got 'a'\n"),
     ("probe-nan", "verify", "probe.json", b'{"features": [NaN, 1, 2, 3]}',
-     "error: probe: features must be finite"),
+     "error: probe: features[0]: must be finite, got nan\n"),
     ("probe-overflow", "verify", "probe.json", b'{"features": [1e400, 1, 2, 3]}',
-     "error: probe: features must be finite"),
+     "error: probe: features[0]: must be finite, got inf\n"),
     ("synth-sigma-nan", "synth", "--sigma", "nan",
      "error: synth: jitter_sigma must be finite, got nan"),
     ("synth-sigma-inf", "synth", "--sigma", "inf",
@@ -280,31 +295,87 @@ BAD_INPUTS = [
      "error: lr must be positive and finite, got -0.01"),
     ("finger-params-non-numeric", "replay", "config.json",
      b'{"finger_params": {"thumb_slope_max": "steep"}}',
-     "error: config: finger_params.thumb_slope_max must be a number, got 'steep'"),
+     "error: config: finger_params.thumb_slope_max: expected a number, got 'steep'\n"),
     ("finger-params-not-finite", "replay", "config.json",
      b'{"finger_params": {"thumb_slope_max": NaN, "thumb_min_dx": Infinity}}',
-     "error: thumb_slope_max must be finite, got nan"),
+     "error: config: finger_params.thumb_slope_max: must be finite, got nan\n"),
     ("controller-non-numeric", "track", "config.json", b'{"controller": {"gain": "fast"}}',
-     "error: config: controller.gain must be a number, got 'fast'"),
+     "error: config: controller.gain: expected a number, got 'fast'\n"),
     ("controller-steps-infinite", "track", "config.json",
      b'{"controller": {"max_steps": Infinity}}',
-     "error: config: controller.max_steps must be a number, got inf"),
+     "error: config: controller.max_steps: expected an integer, got inf\n"),
     ("controller-not-object", "track", "config.json", b'{"controller": [1]}',
      "error: config: controller must be an object"),
     ("finger-params-string", "replay", "config.json",
      b'{"finger_params": {"thumb_min_dx": "0.04"}}',
-     "error: config: finger_params.thumb_min_dx must be a number, got '0.04'\n"),
+     "error: config: finger_params.thumb_min_dx: expected a number, got '0.04'\n"),
     ("controller-gain-bool", "track", "config.json", b'{"controller": {"gain": true}}',
-     "error: config: controller.gain must be a number, got True\n"),
+     "error: config: controller.gain: expected a number, got True\n"),
     ("controller-steps-fraction", "track", "config.json", b'{"controller": {"max_steps": 2.9}}',
-     "error: config: controller.max_steps must be an integer, got 2.9\n"),
+     "error: config: controller.max_steps: expected an integer, got 2.9\n"),
     ("eval-config-bool", "eval", "config.json", b'{"finger_params": {"thumb_min_dx": true}}',
-     "error: config: finger_params.thumb_min_dx must be a number, got True\n"),
+     "error: config: finger_params.thumb_min_dx: expected a number, got True\n"),
     ("eval-registry-object", "eval", "registry.json", b'{"name": "One"}',
      "error: registry: expected a JSON array of definitions\n"),
     ("eval-registry-hold-string", "eval", "registry.json",
      b'[{"name": "One", "pattern": {"single": [0, 1, 0, 0, 0]}, "hold_frames": "5"}]',
-     "error: registry[0]: hold_frames must be an integer\n"),
+     "error: registry[0].hold_frames: expected an integer, got '5'\n"),
+    ("eval-registry-hold-fraction", "eval", "registry.json",
+     b'[{"name": "One", "pattern": {"single": [0, 1, 0, 0, 0]}, "hold_frames": 5.0}]',
+     "error: registry[0].hold_frames: expected an integer, got 5.0\n"),
+    # Values that a bare float(), int() or numpy conversion would take.
+    ("maps-height-fraction", "keypoints", "maps.jsonl", _lines(MAPS, {**MAPS, "h": 2.9}),
+     "error: line 2: h: expected an integer, got 2.9\n"),
+    ("maps-height-string", "keypoints", "maps.jsonl", _with(MAPS, h="2"),
+     "error: line 1: h: expected an integer, got '2'\n"),
+    ("region-bool", "keypoints", "maps.jsonl", _with(MAPS, region=[True, 0.5, 0.5, 0.5]),
+     "error: line 1: region[0]: expected a number, got True\n"),
+    ("anchors-grid-fraction", "decode", "preds.jsonl", _preds(grid_w=1.9),
+     "error: line 1: anchors: layers[0].grid_w: expected an integer, got 1.9\n"),
+    ("anchors-scale-string", "decode", "preds.jsonl", _preds(scales=["0.5"]),
+     "error: line 1: anchors: layers[0].scales[0]: expected a number, got '0.5'\n"),
+    ("anchors-ratio-bool", "decode", "preds.jsonl", _preds(aspect_ratios=[True]),
+     "error: line 1: anchors: layers[0].aspect_ratios[0]: expected a number, got True\n"),
+    ("anchors-variance-string", "decode", "preds.jsonl",
+     _with(PREDS, anchors_cfg={**ANCHORS, "center_variance": "0.1"}),
+     "error: line 1: anchors: center_variance: expected a number, got '0.1'\n"),
+    ("train-feature-bool", "train", "data.jsonl",
+     _features("s0", "s1") + b'{"subject": "s2", "features": [0.1, true, 0.3, 0.4]}\n',
+     "error: line 3: features[1]: expected a number, got True\n"),
+    ("train-feature-string", "train", "data.jsonl",
+     b'{"subject": "s0", "features": ["0.5", 0.2, 0.3, 0.4]}\n',
+     "error: line 1: features[0]: expected a number, got '0.5'\n"),
+    ("enroll-feature-bool", "enroll", "data.jsonl",
+     _features("s0", "s1") + b'{"subject": "s0", "features": [0.1, 0.2, 0.3, true]}\n',
+     "error: line 3: features[3]: expected a number, got True\n"),
+    ("enroll-feature-string", "enroll", "data.jsonl",
+     _features("s0") + b'{"subject": "s1", "features": [0.1, "0.5", 0.3, 0.4]}\n',
+     "error: line 2: features[1]: expected a number, got '0.5'\n"),
+    ("probe-bool-and-string", "verify", "probe.json", b'{"features": [true, "0.5", 1, 2]}',
+     "error: probe: features[0]: expected a number, got True\n"),
+    ("controller-steps-float", "track", "config.json", b'{"controller": {"max_steps": 20.0}}',
+     "error: config: controller.max_steps: expected an integer, got 20.0\n"),
+    ("store-threshold-string", "verify", "store.json",
+     _store_record({"subject": "s0", "threshold": "0.5", "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0].threshold: expected a number, got '0.5'\n"),
+    ("store-anchors-string", "verify", "store.json",
+     _store_record({"subject": "s0", "threshold": 0.5, "anchors": [["0.6", "0.8"]]}),
+     "error: store: records[0].anchors[0][0]: expected a number, got '0.6'\n"),
+    ("params-bias-string", "roc", "params.json", _with(PARAMS, b1=[0.0, "0.5", 0.0, 0.0]),
+     "error: params: b1[1]: expected a number, got '0.5'\n"),
+    # A fault found while decoding a record names its line.
+    ("preds-size-overflow", "decode", "preds.jsonl",
+     _lines(PREDS, {**PREDS, "preds": [[0, 0, 0, 4000, 0]]}),
+     "error: line 2: size transform overflowed: tw=4000.0, th=0.0\n"),
+    ("maps-grid-too-small", "keypoints", "maps.jsonl",
+     _lines(MAPS, {**MAPS, "h": 1, "w": 4}),
+     "error: line 2: maps: grid must be at least 2x2, got 1x4\n"),
+    ("maps-negative-value", "keypoints", "maps.jsonl",
+     _lines(MAPS, {**MAPS, "maps": [[0, 0, -1, 1]] * 21}),
+     "error: line 2: maps: values must be non-negative\n"),
+    ("maps-region-off-image", "keypoints", "maps.jsonl",
+     _lines(MAPS, {**MAPS, "region": [0.95, 0.5, 0.4, 0.4]}),
+     "error: line 2: hands[0].pts: coordinates must lie in [0, 1]\n"),
 ]
 # eval --events reads its files as eval does, and fails alike but for its own
 # empty-stream text.
@@ -394,6 +465,7 @@ BAD_TRAIN = [
     ("epochs-type-before-lr", {"epochs": "2", "lr": 0.0}, "epochs must be an integer, got '2'"),
     ("lr-type-before-seed", {"lr": "0.1", "seed": -1}, "lr must be a real number, got '0.1'"),
     ("seed-type-before-dims", {"seed": "0", "embed_dim": 0}, "seed must be an integer, got '0'"),
+    ("normalize-string", {"normalize": "false"}, "normalize must be a bool, got 'false'"),
 ]
 
 
@@ -465,7 +537,7 @@ def test_enroll_calibration_needs_pairs(inputs, tmp_path, subjects, message):
     (read_frames, '{"t": 0, "hands": []}\n\n{"t": 0, "hands": []}\n',
      StreamOrderError, "line 3: timestamp 0 does not increase past 0"),
     (load_features, '\n{"subject": "a", "features": ["x"]}\n',
-     DataError, "line 2: features must be numeric: could not convert string to float: 'x'"),
+     DataError, "line 2: features[0]: expected a number, got 'x'"),
     (read_frames, '{"t": 0, "hands": [], "note": "\\u00e9"}\n',
      ValidationError, "line 1: frame: unexpected field 'note'"),
 ], ids=["order", "features", "escaped-unicode"])

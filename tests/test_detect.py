@@ -281,7 +281,53 @@ class TestNms:
         assert scalar_decode_record(record, 0.0, 0.5) == boxes
 
 
+def loop_decode_keypoints(maps, region):
+    """decode_keypoints's points and confidences, one map at a time (the reference)."""
+    _, height, width = maps.shape
+    left = region.cx - region.w / 2
+    top = region.cy - region.h / 2
+    points = np.empty((21, 2), dtype=np.float64)
+    conf = np.empty(21, dtype=np.float64)
+    for k in range(21):
+        grid = maps[k]
+        peak = grid.max()
+        if peak == 0.0:
+            u, v = 0.5, 0.5
+            conf[k] = 0.0
+        else:
+            row, col = divmod(int(grid.argmax()), width)
+            u = (col + 0.5) / width
+            v = (row + 0.5) / height
+            conf[k] = min(float(peak), 1.0)
+        points[k] = (left + u * region.w, top + v * region.h)
+    return points, conf
+
+
 class TestDecodeKeypoints:
+    def test_matches_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        for case in range(1000):
+            h, w = rng.integers(2, 30, size=2)
+            maps = rng.uniform(0.0, 1.5, size=(21, h, w))
+            if case % 3 == 1:  # ties: few distinct values
+                maps = np.round(maps, 1)
+            dark = rng.random(21) < 0.3
+            maps[dark] = 0.0
+            maps[dark & (rng.random(21) < 0.5)] = -0.0
+            cx, cy = rng.uniform(0.2, 0.8, size=2)
+            size = rng.uniform(0.05, 0.4, size=2)
+            region = BBox(cx, cy, size[0], size[1], 1.0)
+            points, conf = loop_decode_keypoints(maps, region)
+            lms = decode_keypoints(maps, region)
+            assert lms.points.tobytes() == points.tobytes(), case
+            assert lms.confidences.tobytes() == conf.tobytes(), case
+
+    def test_negative_zero_map_gives_positive_zero_confidence(self):
+        maps = np.full((21, 3, 3), -0.0)
+        lms = decode_keypoints(maps, FULL_IMAGE)
+        assert lms.confidences.tobytes() == np.zeros(21).tobytes()
+        assert (lms.points == 0.5).all()
+
     @staticmethod
     def maps_with_peaks(cells, h=8, w=8, value=1.0):
         maps = np.zeros((21, h, w))
