@@ -71,10 +71,12 @@ def _open_text(path: str | os.PathLike):
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
-def _loads(text: str, where: str, error: type[HandwaveError]) -> Any:
+def _loads(text: str | bytes, where: str, error: type[HandwaveError]) -> Any:
     if not text.isascii():
         try:  # always raises: the codec names the first offending byte
-            text.encode("ascii", "surrogateescape").decode("ascii")
+            if isinstance(text, str):
+                text = text.encode("ascii", "surrogateescape")
+            text.decode("ascii")
         except UnicodeError as exc:
             raise error(f"{where}not ASCII: {exc}") from None
     try:

@@ -26,7 +26,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from ._jsonio import number, read_json
+from ._jsonio import _loads, number, read_json
 from .errors import StreamOrderError, ValidationError
 from .model import (
     FINGERS,
@@ -423,4 +423,4 @@ def default_registry() -> GestureRegistry:
     which nothing changes after it is built.
     """
     data = resources.files("handwave").joinpath("data/default_registry.json").read_text("ascii")
-    return registry_from_obj(json.loads(data))
+    return registry_from_obj(_loads(data, "registry: ", ValidationError))

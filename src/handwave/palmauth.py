@@ -486,15 +486,6 @@ class AuthDecision:
     distance: float
     subject_id: str
 
-    @classmethod
-    def _checked(cls, accepted: bool, distance: float, subject_id: str) -> "AuthDecision":
-        """The decision ``cls(accepted, distance, subject_id)``, without the dataclass ``__init__``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "accepted", accepted)
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "subject_id", subject_id)
-        return self
-
 
 def enroll(subject_id: str, samples, params: EncoderParams,
            threshold: float) -> EnrollmentRecord:
@@ -521,7 +512,7 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     # sqrt is monotone and correctly rounded, so the root of the least squared
     # distance is the least of the rooted distances, bit for bit.
     distance = math.sqrt(_squared_distances(record.anchors, embedded).min())
-    return AuthDecision._checked(distance <= record.threshold, distance, record.subject_id)
+    return AuthDecision(distance <= record.threshold, distance, record.subject_id)
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ holding the ground-truth gesture name ("none" when absent).
 
 from __future__ import annotations
 
-import json
 import os
 from itertools import chain
 from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, TextIO
 
 import numpy as np
 
-from ._jsonio import _NUMBER_TYPES, at_line, dumps, json_lines, number, write_lines
+from ._jsonio import _NUMBER_TYPES, _loads, at_line, dumps, json_lines, number, write_lines
 from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
@@ -30,6 +29,7 @@ _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
 _SIDE_INDEX = {"R": 0, "L": 1}
 _HANDEDNESS = (Handedness.RIGHT, Handedness.LEFT)
+_ONES = [1.0] * NUM_LANDMARKS  # the confidences of a hand without "conf"
 
 
 def _unit_number(value: Any, path: str) -> float:
@@ -71,25 +71,45 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
     return LandmarkSet(points=points, handedness=Handedness(obj["hd"]), confidences=conf)
 
 
-def _hand_fields(obj: Any, pairs: list, confs: list) -> int | None:
+def _hand_fields(obj: Any, absent: list, pairs: list, confs: list) -> int | None:
     """0 for a right hand, 1 for a left one, or None when a field of ``obj`` is amiss.
 
-    The [x, y] pairs and any confidences are appended to ``pairs`` and
-    ``confs``, for _unit_values to check.
+    The [x, y] pairs and the 21 confidences, ``absent`` when "conf" is, are
+    appended to ``pairs`` and ``confs``, for _unit_values to check.
     """
     if type(obj) is not dict or not obj.keys() <= _HAND_KEYS:
         return None
-    hd, pts = obj.get("hd"), obj.get("pts")
+    hd, pts, conf = obj.get("hd"), obj.get("pts"), obj.get("conf", absent)
     if type(hd) is not str or hd not in _SIDE_INDEX \
-            or type(pts) is not list or len(pts) != NUM_LANDMARKS:
+            or type(pts) is not list or len(pts) != NUM_LANDMARKS \
+            or conf is not absent and (type(conf) is not list or len(conf) != NUM_LANDMARKS):
         return None
-    if "conf" in obj:
-        conf = obj["conf"]
-        if type(conf) is not list or len(conf) != NUM_LANDMARKS:
-            return None
-        confs.extend(conf)
-    pairs.extend(pts)
+    pairs += pts
+    confs += conf
     return _SIDE_INDEX[hd]
+
+
+def _frame_fields(obj: Any, keys: set, absent: list, pairs: list, confs: list) -> list[int] | None:
+    """The side of each hand of a frame object, or None when a field of it is amiss.
+
+    ``obj`` must be a dict with keys from ``keys``, an int "t" and a list of at
+    most two "hands" of different sides, each passing _hand_fields, which
+    appends its values to ``pairs`` and ``confs``: ``absent`` stands for a
+    missing "conf". The sign and order of "t" and the values themselves are
+    left to the caller.
+    """
+    if type(obj) is not dict or not obj.keys() <= keys:
+        return None
+    t, hands = obj.get("t"), obj.get("hands")
+    if type(t) is not int or type(hands) is not list or len(hands) > 2:
+        return None
+    sides: list[int] = []
+    for hand in hands:
+        side = _hand_fields(hand, absent, pairs, confs)
+        if side is None or side in sides:
+            return None
+        sides.append(side)
+    return sides
 
 
 def _unit_values(pairs: list, confs: list) -> np.ndarray | None:
@@ -113,34 +133,8 @@ def _unit_values(pairs: list, confs: list) -> np.ndarray | None:
     return arr
 
 
-def _hand_from_array(obj: Any) -> LandmarkSet | None:
-    """The hand ``obj`` describes, checked in bulk, or None when any check fails.
-
-    It accepts only what ``_hand_from_obj`` accepts and builds an equal hand,
-    so a None sends the caller to that walker, which names the bad field.
-    """
-    pairs: list = []
-    confs: list = []
-    side = _hand_fields(obj, pairs, confs)
-    arr = None if side is None else _unit_values(pairs, confs)
-    if arr is None:
-        return None
-    arr.setflags(write=False)  # so are its views, the hand's arrays
-    n = 2 * NUM_LANDMARKS
-    if confs:
-        confidences = arr[n:]
-    else:
-        confidences = np.ones(NUM_LANDMARKS)
-        confidences.setflags(write=False)
-    return LandmarkSet._checked(arr[:n].reshape(NUM_LANDMARKS, 2), _HANDEDNESS[side], confidences)
-
-
 def _frame_header(obj: Any) -> tuple[int, list]:
     """The timestamp and the hand list of a frame object, or the error naming its bad field."""
-    if type(obj) is dict and obj.keys() == _FRAME_KEYS:  # the common frame, in one test
-        t, hands = obj["t"], obj["hands"]
-        if type(t) is int and type(hands) is list and len(hands) <= 2:
-            return t, hands
     if not isinstance(obj, dict):
         raise ValidationError(f"frame: expected an object, got {type(obj).__name__}")
     for key in obj:
@@ -164,18 +158,35 @@ def _frame_header(obj: Any) -> tuple[int, list]:
 def frame_from_obj(obj: Any) -> HandFrame:
     """Build a HandFrame from a decoded JSON object, rejecting schema deviations.
 
-    Each hand is checked in bulk first; only a hand that fails there is walked
-    field by field, so that the error names the field at fault. A frame whose
-    hands come checked and in canonical order is wrapped as it is; any other
-    goes through the HandFrame constructor, which sorts them or names the fault.
+    The whole frame is checked in bulk first. A frame that passes, with a
+    non-negative "t", is wrapped as views of one read-only array; only a
+    left-first one goes through the HandFrame constructor, which sorts it. Any
+    other is walked field by field and built by that constructor, so that the
+    error names the field at fault.
     """
+    pairs: list = []
+    confs: list = []
+    sides = _frame_fields(obj, _FRAME_KEYS, _ONES, pairs, confs)
+    if sides is not None and (t := obj["t"]) >= 0:
+        if not sides:
+            return HandFrame._checked(t, ())
+        arr = _unit_values(pairs, confs)
+        if arr is not None:
+            arr.setflags(write=False)  # so are its views, the hands' arrays
+            hands = []
+            at, conf_at = 0, 2 * len(pairs)  # every x and y comes first, then every confidence
+            for side in sides:
+                hands.append(LandmarkSet._checked(
+                    arr[at:at + 2 * NUM_LANDMARKS].reshape(NUM_LANDMARKS, 2), _HANDEDNESS[side],
+                    arr[conf_at:conf_at + NUM_LANDMARKS]))
+                at += 2 * NUM_LANDMARKS
+                conf_at += NUM_LANDMARKS
+            if sides == [1, 0]:  # left first: the constructor sorts them
+                return HandFrame(t_ms=t, hands=tuple(hands))
+            return HandFrame._checked(t, tuple(hands))
     t, hands_obj = _frame_header(obj)
-    hands = tuple([_hand_from_array(h) or _hand_from_obj(h, f"hands[{i}]")
-                   for i, h in enumerate(hands_obj)])
-    if t >= 0 and (len(hands) < 2 or (hands[0].handedness is Handedness.RIGHT
-                                      and hands[1].handedness is Handedness.LEFT)):
-        return HandFrame._checked(t, hands)
-    return HandFrame(t_ms=t, hands=hands)
+    return HandFrame(t_ms=t, hands=tuple([_hand_from_obj(h, f"hands[{i}]")
+                                          for i, h in enumerate(hands_obj)]))
 
 
 def frame_to_obj(frame: HandFrame) -> dict:
@@ -196,14 +207,11 @@ def frame_to_obj(frame: HandFrame) -> dict:
 def parse_frame(line: str) -> HandFrame:
     """Parse one JSONL line into a HandFrame.
 
-    Raises ParseError for malformed JSON and ValidationError for any schema
-    or invariant violation (the message names the offending field).
+    Raises ParseError for a line that is not ASCII or not JSON, and
+    ValidationError for any schema or invariant violation (the message names
+    the offending field).
     """
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    return frame_from_obj(obj)
+    return frame_from_obj(_loads(line, "", ParseError))
 
 
 def serialize_frame(frame: HandFrame) -> str:
@@ -299,8 +307,8 @@ def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[Label
     """The frames read_labelled(source) yields, in chunks of arrays, reading it once.
 
     Every check read_labelled makes is repeated, in bulk where it can be:
-    exact types, keys, labels, timestamp order and distinct sides per line,
-    then one type and range check per chunk. At the first failure, a JSON
+    frame_from_obj's bulk frame check, the label and timestamp order per
+    line, then one type and range check per chunk. At the first failure, a JSON
     reader's error included, read_labelled's checks run over the chunk's lines
     and raise its error naming the line and field; only they build LandmarkSets.
     """
@@ -328,15 +336,11 @@ def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[Label
     try:
         for n, obj in json_lines(source):
             lines.append((n, obj))
-            if type(obj) is not dict:
+            sides = _frame_fields(obj, _LABELLED_KEYS, [], pairs, confs)  # keeps no confidence
+            if sides is None:
                 recheck()
-            label, t, hands = obj.get("label", "none"), obj.get("t"), obj.get("hands")
-            if type(label) is not str or not label or not obj.keys() <= _LABELLED_KEYS \
-                    or type(t) is not int or t <= last_t \
-                    or type(hands) is not list or len(hands) > 2:
-                recheck()
-            sides = [_hand_fields(hand, pairs, confs) for hand in hands]
-            if None in sides or len(set(sides)) < len(sides):
+            label, t = obj.get("label", "none"), obj["t"]
+            if type(label) is not str or not label or t <= last_t:
                 recheck()
             frame_of += [len(labels)] * len(sides)
             side += sides

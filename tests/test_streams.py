@@ -81,6 +81,20 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_frame('{"t":0,')
 
+    def test_non_ascii_line_is_parse_error_as_in_files(self):
+        line = '{"t": 0, "hands": [], "\u00e9": 1}'
+        message = ("not ASCII: 'ascii' codec can't encode character '\\xe9' in position 23: "
+                   "ordinal not in range(128)")
+        with pytest.raises(ParseError) as info:
+            parse_frame(line)
+        assert type(info.value) is ParseError and str(info.value) == message
+        with pytest.raises(ParseError) as info:
+            list(read_frames([line]))
+        assert str(info.value) == f"line 1: {message}"
+        with pytest.raises(ParseError, match="^not ASCII: 'ascii' codec can't decode byte 0xc3 "
+                                             "in position 23: ordinal not in range"):
+            parse_frame(line.encode())
+
     @pytest.mark.parametrize("line, message", [
         ('{"t":0,', "malformed JSON: Expecting property name enclosed in double quotes"),
         ("[" * 100_000, "malformed JSON: maximum recursion depth exceeded"),
@@ -206,12 +220,26 @@ class TestStreams:
         assert pairs == [(HandFrame(t_ms=0), "none")]
 
 
-# --- the bulk hand check against the field-by-field walker -------------------
+# --- the bulk frame check against the field-by-field walker ------------------
 
 def walked(obj):
-    """frame_from_obj with every hand sent through the walker."""
-    with mock.patch.object(streams, "_hand_from_array", lambda hand: None):
+    """frame_from_obj with the whole frame sent through the walker."""
+    with mock.patch.object(streams, "_frame_fields", lambda *args: None):
         return frame_from_obj(obj)
+
+
+def bulk_values(obj):
+    """The bulk frame check's one array for ``obj``, or None where it fails."""
+    pairs, confs = [], []
+    sides = streams._frame_fields(obj, streams._FRAME_KEYS, streams._ONES, pairs, confs)
+    return None if sides is None else streams._unit_values(pairs, confs)
+
+
+def root(arr):
+    """The array that owns the memory ``arr`` views."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr
 
 
 def outcome(fn, *args):
@@ -281,7 +309,7 @@ class TestBulkHandCheck:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(obj=frame_objs())
     def test_valid_frames_equal_the_walkers(self, obj):
-        assert all(streams._hand_from_array(hand) is not None for hand in obj["hands"])
+        assert bulk_values(obj) is not None
         want = outcome(walked, obj)
         assert outcome(frame_from_obj, obj) == want
         assert outcome(parse_frame, json.dumps(obj)) == want
@@ -299,7 +327,7 @@ class TestBulkHandCheck:
     def test_bad_hand_fails_as_the_walker_fails(self, hand, mutate):
         obj = self.two_hands()
         mutate(obj["hands"][hand])
-        assert streams._hand_from_array(obj["hands"][hand]) is None
+        assert bulk_values(obj) is None
         with pytest.raises(ValidationError) as info:
             streams._hand_from_obj(obj["hands"][hand], f"hands[{hand}]")
         want = (ValidationError, str(info.value))
@@ -328,8 +356,47 @@ class TestBulkHandCheck:
     def test_python_values_give_the_walkers_outcome(self, mutate):
         obj = self.two_hands()
         mutate(obj["hands"][0])
-        assert streams._hand_from_array(obj["hands"][0]) is None
+        assert bulk_values(obj) is None
         assert outcome(frame_from_obj, obj) == outcome(walked, obj)
+
+    @pytest.mark.parametrize("left_first", [False, True], ids=["right-first", "left-first"])
+    def test_two_hands_view_one_read_only_array(self, left_first):
+        obj = self.two_hands()  # the left hand has no "conf"
+        if left_first:
+            obj["hands"].reverse()
+        with mock.patch.object(streams, "_hand_from_obj", autospec=True,
+                               side_effect=streams._hand_from_obj) as walker:
+            frame = frame_from_obj(obj)
+        assert walker.call_count == 0
+        arrays = [a for h in frame.hands for a in (h.points, h.confidences)]
+        owner = root(arrays[0])
+        assert owner.shape == (2 * 21 * 2 + 2 * 21,) and not owner.flags.writeable
+        assert all(root(a) is owner and not a.flags.writeable for a in arrays)
+        assert [h.handedness for h in frame.hands] == [Handedness.RIGHT, Handedness.LEFT]
+        assert frame.hands[1].confidences.tolist() == [1.0] * 21
+        assert frame == constructed(obj)
+
+    def test_negative_t_frame_is_walked(self):
+        obj = self.two_hands()
+        obj["t"] = -1
+        assert bulk_values(obj) is not None  # its fields pass; the frame does not
+        with mock.patch.object(streams, "_hand_from_obj", autospec=True,
+                               side_effect=streams._hand_from_obj) as walker:
+            got = outcome(frame_from_obj, obj)
+        assert walker.call_count == 2
+        assert got == outcome(constructed, obj)
+
+    def test_hand_without_conf_gets_read_only_ones(self):
+        one = json.loads(VALID_LINE)
+        del one["hands"][0]["conf"]
+        two = self.two_hands()  # a right hand with "conf", a left one without
+        for obj, hand in ((one, 0), (two, 1)):
+            conf = frame_from_obj(obj).hands[hand].confidences
+            assert conf.tolist() == [1.0] * 21 and not conf.flags.writeable
+        lines = [json.dumps({**one, "t": 0}), json.dumps({**two, "t": 1, "label": "A"})]
+        want = read_outcome(lines)
+        assert [len(hands) for _, _, hands in want] == [1, 2]
+        assert arrays_outcome(lines) == want
 
 
 # --- the lean frame path against the public constructors --------------------
