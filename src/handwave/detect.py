@@ -329,7 +329,8 @@ def decode_keypoints(maps: np.ndarray,
     lit = peak != 0.0  # an all-zero map gives the region centre
     u = np.where(lit, (col + 0.5) / width, 0.5)
     v = np.where(lit, (row + 0.5) / height, 0.5)
-    points = np.column_stack((left + u * region.w, top + v * region.h))
+    with np.errstate(over="ignore"):  # an overflow gives inf, which LandmarkSet rejects
+        points = np.column_stack((left + u * region.w, top + v * region.h))
     conf = np.where(lit, np.minimum(peak, 1.0), 0.0)
     return LandmarkSet(points=points, handedness=handedness, confidences=conf)
 

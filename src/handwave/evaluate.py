@@ -22,10 +22,10 @@ from .gestures import (
     GestureEngine,
     GestureRegistry,
     _classify_frame,
-    _classify_hands,
+    _classify_rows,
 )
 from .model import EvalReport, EvalRow, GestureEvent, HandFrame
-from .streams import labelled_arrays
+from .streams import labelled_rows
 
 NO_MATCH = "none"
 _EVENT_COUNTS = ("expected", "detected", "spurious")
@@ -48,16 +48,14 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
 
 def _corpus_names(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
                   params: FingerStateParams) -> Iterator[tuple[str, str | None, int]]:
-    """(label, first match or None, t) of every frame of a corpus, read once as arrays."""
-    for chunk in labelled_arrays(source):
-        names = _classify_hands(chunk.points, chunk.frame_of, chunk.side, len(chunk.labels),
-                                registry, params)
-        yield from zip(chunk.labels, names, chunk.times)
+    """(label, first match or None, t) of every frame of a corpus, read once."""
+    for label, t, hands in labelled_rows(source):
+        yield label, _classify_rows(hands, registry, params), t
 
 
 def evaluate_corpus(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
                     params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport:
-    """evaluate(read_labelled(source), registry, params), read once and scored as arrays."""
+    """evaluate(read_labelled(source), registry, params), reading each line once."""
     tally = _Tally()
     for label, name, _ in _corpus_names(source, registry, params):
         tally.add(label, name)
@@ -163,7 +161,7 @@ def evaluate_events(pairs: Iterable[tuple[HandFrame, str]],
 
 def evaluate_corpus_events(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
                            params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> dict:
-    """evaluate_events(read_labelled(source), registry, params), read once as arrays."""
+    """evaluate_events(read_labelled(source), registry, params), reading each line once."""
     engine = GestureEngine(registry, params)
     return _event_tally((label, engine._advance(name, t))
                         for label, name, t in _corpus_names(source, registry, params))

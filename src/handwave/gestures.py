@@ -22,9 +22,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterator, Mapping
-
-import numpy as np
+from typing import Any, Iterable, Iterator, Mapping
 
 from ._jsonio import _loads, number, read_json
 from .errors import StreamOrderError, ValidationError
@@ -89,23 +87,6 @@ def _hand_code(pts, params: FingerStateParams) -> int:
         if pts[tip][1] < pts[mcp][1]:
             code |= bit
     return code
-
-
-def _hand_codes(pts: np.ndarray, params: FingerStateParams) -> np.ndarray:
-    """``_hand_code`` of every hand in an (N, 21, 2) array, as N integers.
-
-    The same float operations in the same order, so each code equals the
-    scalar one; a thumb with dx == 0 fails the width test before its slope
-    (here an inf or NaN, not an exception) can count.
-    """
-    tip, mcp = pts[:, THUMB_TIP], pts[:, THUMB_MCP]
-    with np.errstate(all="ignore"):
-        dx = tip[:, 0] - mcp[:, 0]
-        slope = np.abs((tip[:, 1] - mcp[:, 1]) / dx)
-        codes = ((np.abs(dx) >= params.thumb_min_dx) & (slope <= params.thumb_slope_max)) * 16
-    for bit, (tip, mcp) in _FINGER_BITS:
-        codes |= (pts[:, tip, 1] < pts[:, mcp, 1]) * bit
-    return codes
 
 
 def _slot(posture: object) -> int:
@@ -222,30 +203,24 @@ def classify(arrays: Mapping[Handedness, PostureArray], registry: GestureRegistr
     return registry._table[right * _SLOTS + _slot(arrays.get(Handedness.LEFT))]
 
 
+def _classify_rows(hands: Iterable[tuple[int, list]], registry: GestureRegistry,
+                   params: FingerStateParams) -> str | None:
+    """The first match of a frame given as a (side, rows) pair per hand.
+
+    ``side`` is 0 for a right hand and 1 for a left one, ``rows`` the hand's
+    21 (x, y) rows; a frame has at most one hand per side.
+    """
+    slots = [_ABSENT, _ABSENT]
+    for side, rows in hands:
+        slots[side] = _hand_code(rows, params)
+    return registry._table[slots[0] * _SLOTS + slots[1]]
+
+
 def _classify_frame(frame: HandFrame, registry: GestureRegistry,
                     params: FingerStateParams) -> str | None:
     """classify(frame_arrays(frame, params), registry) without the posture objects."""
-    right = left = _ABSENT
-    for hand in frame.hands:
-        if hand.handedness is Handedness.RIGHT:
-            right = _hand_code(hand.points.tolist(), params)
-        else:
-            left = _hand_code(hand.points.tolist(), params)
-    return registry._table[right * _SLOTS + left]
-
-
-def _classify_hands(points: np.ndarray, frame_of: np.ndarray, side: np.ndarray, frames: int,
-                    registry: GestureRegistry, params: FingerStateParams) -> list[str | None]:
-    """_classify_frame of every frame of a batch held as arrays.
-
-    ``points`` holds every hand of the batch, (H, 21, 2); ``frame_of`` the
-    frame each hand belongs to, in range(frames); ``side`` 0 for a right
-    hand and 1 for a left one. A frame has at most one hand per side.
-    """
-    slots = np.full((frames, 2), _ABSENT)  # (right code, left code) per frame
-    slots[frame_of, side] = _hand_codes(points, params)
-    table = registry._table
-    return [table[i] for i in (slots[:, 0] * _SLOTS + slots[:, 1]).tolist()]
+    return _classify_rows([(hand.handedness is Handedness.LEFT, hand.points.tolist())
+                           for hand in frame.hands], registry, params)
 
 
 def frame_arrays(frame: HandFrame,

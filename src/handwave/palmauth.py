@@ -703,13 +703,20 @@ def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
             raise DataError(f"store: missing or bad field ({key!r})")
     normalize, dim, entries = obj["normalize"], obj["dim"], obj["records"]
     records = []
+    subjects: set[str] = set()
     for i, entry in enumerate(entries):
         where = f"store: records[{i}]"
         if not isinstance(entry, dict):
             raise DataError(f"{where}: missing or bad field (expected an object)")
         try:
+            subject = entry["subject"]
+            if type(subject) is not str:  # verify and enroll match subjects as strings
+                raise DataError(f"{where}.subject: expected a string, got {subject!r}")
+            if subject in subjects:
+                raise DataError(f"{where}.subject: duplicate subject {subject!r}")
+            subjects.add(subject)
             record = EnrollmentRecord(
-                subject_id=entry["subject"],
+                subject_id=subject,
                 anchors=number_array(entry["anchors"], f"{where}.anchors", DataError, ndim=2),
                 threshold=number(entry["threshold"], f"{where}.threshold", DataError),
             )

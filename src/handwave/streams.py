@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from itertools import chain
-from typing import Any, Iterable, Iterator, NamedTuple, NoReturn, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -289,72 +289,29 @@ def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[H
     return _labelled_pairs(json_lines(source))
 
 
-class LabelledArrays(NamedTuple):
-    """Consecutive frames of a labelled corpus, with every hand in one array."""
-
-    labels: list[str]     # one per frame
-    times: list[int]      # each frame's "t"
-    points: np.ndarray    # (H, 21, 2) float64: every hand, in file order
-    frame_of: np.ndarray  # (H,) the index in ``labels`` of each hand's frame
-    side: np.ndarray      # (H,) 0 for a right hand, 1 for a left one
-
-
-_CHUNK_FRAMES = 1024  # bounds the decoded JSON held at once
 _LABELLED_KEYS = _FRAME_KEYS | {"label"}
 
 
-def labelled_arrays(source: Iterable[str] | str | os.PathLike) -> Iterator[LabelledArrays]:
-    """The frames read_labelled(source) yields, in chunks of arrays, reading it once.
+def labelled_rows(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[str, int, list]]:
+    """(label, t, hands) of each frame read_labelled(source) yields, one line at a time.
 
-    Every check read_labelled makes is repeated, in bulk where it can be:
-    frame_from_obj's bulk frame check, the label and timestamp order per
-    line, then one type and range check per chunk. At the first failure, a JSON
-    reader's error included, read_labelled's checks run over the chunk's lines
-    and raise its error naming the line and field; only they build LandmarkSets.
+    ``hands`` holds a (side, rows) pair per hand, side 0 for a right hand and 1
+    for a left one, rows its 21 decoded [x, y] lists. Every check read_labelled
+    makes is repeated in bulk: frame_from_obj's bulk frame check, the label,
+    the timestamp order and one type and range check per line. When one
+    fails, read_labelled's checks run on that line and raise its error.
     """
-    def recheck(fault: ParseError | None = None) -> NoReturn:
-        list(_labelled_pairs(lines, before))  # raises at the first line at fault
-        raise fault or AssertionError("labelled_arrays rejected lines read_labelled accepts")
-
-    def chunk() -> LabelledArrays:
-        arr = _unit_values(pairs, confs)
-        if arr is None:
-            recheck()
-        return LabelledArrays(
-            labels, times, arr[:2 * len(pairs)].reshape(-1, NUM_LANDMARKS, 2),
-            np.array(frame_of, dtype=np.intp), np.array(side, dtype=np.intp))
-
-    before: int | None = None  # the last timestamp before the chunk
-    last_t = -1  # below every valid first timestamp
-    lines: list[tuple[int, Any]] = []  # the chunk's (line number, object) pairs, kept whole
-    labels: list[str] = []
-    times: list[int] = []
-    pairs: list = []  # every [x, y] of the chunk
-    confs: list = []  # every confidence of the chunk
-    frame_of: list[int] = []
-    side: list[int] = []
-    try:
-        for n, obj in json_lines(source):
-            lines.append((n, obj))
-            sides = _frame_fields(obj, _LABELLED_KEYS, [], pairs, confs)  # keeps no confidence
-            if sides is None:
-                recheck()
-            label, t = obj.get("label", "none"), obj["t"]
-            if type(label) is not str or not label or t <= last_t:
-                recheck()
-            frame_of += [len(labels)] * len(sides)
-            side += sides
-            labels.append(label)
-            times.append(t)
-            last_t = t
-            if len(labels) == _CHUNK_FRAMES:
-                yield chunk()
-                before, lines, labels, times, pairs, confs, frame_of, side = \
-                    last_t, [], [], [], [], [], [], []
-    except ParseError as exc:  # the JSON reader's; an earlier line of the chunk comes first
-        recheck(exc)
-    if labels:
-        yield chunk()
+    last_t = -1  # below every valid first timestamp, as frame_from_obj rejects t < 0
+    for n, obj in json_lines(source):
+        pairs: list = []
+        confs: list = []
+        sides = _frame_fields(obj, _LABELLED_KEYS, [], pairs, confs)  # no ones for a missing "conf"
+        if sides is None or type(label := obj.get("label", "none")) is not str or not label \
+                or (t := obj["t"]) <= last_t or _unit_values(pairs, confs) is None:
+            list(_labelled_pairs([(n, obj)], last_t))  # raises the line's error
+            raise AssertionError("labelled_rows rejected a line read_labelled accepts")
+        last_t = t
+        yield label, t, [(side, hand["pts"]) for side, hand in zip(sides, obj["hands"])]
 
 
 def write_labelled(dest: TextIO | str | os.PathLike, pairs: Iterable[tuple[HandFrame, str]]) -> int:

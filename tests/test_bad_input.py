@@ -238,6 +238,9 @@ BAD_INPUTS = [
      json.dumps({"h": 2, "w": 2, "maps": [[0, 0, 0, 1]] * 21,
                  "region": ["a", 0.5, 0.5, 0.5]}).encode(),
      "error: line 1: region[0]: expected a number, got 'a'\n"),
+    ("region-overflow", "keypoints", "maps.jsonl",
+     _with(MAPS, region=[1.7e308, 0.5, 1.7e308, 0.5]),
+     "error: line 1: points: coordinates must be finite\n"),
     ("maps-negative-size", "keypoints", "maps.jsonl",
      json.dumps({"h": -1, "w": 2, "maps": [[0, 0, 0, 1]] * 21}).encode(),
      "error: line 1: h and w must be at least 1, got h=-1, w=2"),
@@ -268,6 +271,21 @@ BAD_INPUTS = [
      "error: store: missing or bad field ('dim')\n"),
     ("store-dim-bool", "verify", "store.json", _with(STORE, dim=True),
      "error: store: missing or bad field ('dim')\n"),
+    ("store-subject-number", "verify", "store.json",
+     _store_record({"subject": 5, "threshold": 0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0].subject: expected a string, got 5\n"),
+    ("store-subject-object", "verify", "store.json",
+     _store_record({"subject": {"a": 1}, "threshold": 0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0].subject: expected a string, got {'a': 1}\n"),
+    ("store-subject-bool", "enroll", "enrolled.json",
+     _store_record({"subject": True, "threshold": 0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0].subject: expected a string, got True\n"),
+    ("store-subject-twice", "verify", "store.json",
+     _with(STORE, records=STORE["records"] * 2),
+     "error: store: records[1].subject: duplicate subject 's0'\n"),
+    ("store-subject-twice-enroll", "enroll", "enrolled.json",
+     _with(STORE, records=STORE["records"] * 2),
+     "error: store: records[1].subject: duplicate subject 's0'\n"),
     ("params-normalize-string", "roc", "params.json", _with(PARAMS, normalize="false"),
      "error: params: missing or bad field ('normalize')\n"),
     ("roc-one-subject", "roc", "data.jsonl", _features("s0", "s0", "s0"), NO_PAIRS),

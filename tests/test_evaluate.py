@@ -35,7 +35,6 @@ from handwave import (
     synth_corpus,
     write_labelled,
 )
-from handwave import streams
 from handwave.evaluate import evaluate_corpus, evaluate_corpus_events
 from handwave.gestures import _classify_frame
 from handwave.model import HandFrame
@@ -304,7 +303,6 @@ class TestEvaluateCorpusEvents:
     @pytest.mark.parametrize("registry", [default_registry(), MIXED_HOLDS],
                              ids=["stock", "mixed-holds"])
     def test_arrays_give_the_frame_path_tally(self, monkeypatch, seed, sigma, registry):
-        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 7)  # runs cross chunk edges
         tallied = []  # each path's labels and events; only step's onsets carry a cursor
 
         def recording(stepped):

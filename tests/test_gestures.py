@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from handwave import (
     save_registry,
     thumb_state,
 )
-from handwave.gestures import _classify_frame, _hand_code, _hand_codes, registry_to_obj
+from handwave.gestures import _classify_frame, registry_to_obj
 from handwave.model import INDEX_MCP, INDEX_TIP, MCP, MIDDLE_MCP, THUMB_MCP, THUMB_TIP, TIP
 from handwave.synth import hand_template
 
@@ -538,39 +537,3 @@ class TestCompiledRules:
             arrays = {h.handedness: scalar_posture(h, params) for h in frame.hands}
         assert frame_arrays(frame, params) == arrays
         assert _classify_frame(frame, reg, params) == first_match(arrays, reg)
-
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(hands=st.lists(odd_hands(), min_size=1, max_size=3), params=params_st,
-           data=st.data())
-    def test_hand_codes_match_the_scalar_code(self, hands, params, data):
-        pts = np.stack([h.points for h in hands])
-        edge = data.draw(st.sampled_from(["none", "dx", "slope", "level", "signed-zero"]))
-        tip, mcp = pts[0, THUMB_TIP], pts[0, THUMB_MCP]
-        if edge == "level":  # every tip level with its MCP, so no finger is open
-            for f in ("thumb", "index", "middle", "ring", "pinky"):
-                pts[0, TIP[f], 1] = pts[0, MCP[f], 1]
-        elif edge == "signed-zero":  # dx == -0.0 and dy == 0.0
-            tip[:] = mcp[:] = (0.0, -0.0)
-            tip[0] = -0.0
-        dx = float(tip[0] - mcp[0])
-        if edge in ("dx", "slope") and 0.0 < abs(dx) < math.inf:
-            # the thumb exactly at the width limit, then its slope exactly at the slope limit
-            slope = abs(float(tip[1] - mcp[1]) / dx)
-            params = FingerStateParams(
-                thumb_min_dx=abs(dx),
-                thumb_slope_max=slope if edge == "slope" and 0.0 < slope < math.inf
-                else params.thumb_slope_max)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # dx == 0 and overflow must stay silent
-            codes = _hand_codes(pts, params)
-        assert codes.shape == (len(hands),)
-        assert codes.tolist() == [_hand_code(p.tolist(), params) for p in pts]
-
-    def test_hand_codes_of_every_template(self):
-        params = FingerStateParams(thumb_slope_max=0.5, thumb_min_dx=0.1)
-        pts = np.stack([hand_template(p, side).points
-                        for p in ALL_POSTURES for side in (Handedness.RIGHT, Handedness.LEFT)])
-        assert _hand_codes(pts, DEFAULT_FINGER_PARAMS).tolist() == \
-            [int("".join(map(str, p)), 2) for p in ALL_POSTURES for _ in range(2)]
-        assert _hand_codes(pts, params).tolist() == [_hand_code(p.tolist(), params) for p in pts]
-        assert _hand_codes(np.empty((0, 21, 2)), params).tolist() == []

@@ -396,7 +396,7 @@ class TestBulkHandCheck:
         lines = [json.dumps({**one, "t": 0}), json.dumps({**two, "t": 1, "label": "A"})]
         want = read_outcome(lines)
         assert [len(hands) for _, _, hands in want] == [1, 2]
-        assert arrays_outcome(lines) == want
+        assert rows_outcome(lines) == want
 
 
 # --- the lean frame path against the public constructors --------------------
@@ -467,19 +467,19 @@ class TestLeanFramePath:
             parse_frame("[1]")
 
 
-# --- the labelled corpus as arrays against read_labelled ---------------------
+# --- the labelled corpus row by row against read_labelled --------------------
 
-def arrays_outcome(lines):
-    """labelled_arrays' frames as (label, t, {side: point bytes}), or its error's (type, text)."""
+def rows_outcome(lines):
+    """labelled_rows' frames as (label, t, {side: point bytes}), or its error's (type, text)."""
     frames = []
     try:
-        for chunk in streams.labelled_arrays(lines):
-            assert chunk.points.dtype == np.float64 and chunk.points.shape[1:] == (21, 2)
-            assert len(chunk.points) == len(chunk.frame_of) == len(chunk.side)
-            these = [(label, t, {}) for label, t in zip(chunk.labels, chunk.times, strict=True)]
-            for pts, f, side in zip(chunk.points, chunk.frame_of, chunk.side):
-                these[f][2]["RL"[side]] = pts.tobytes()
-            frames += these
+        for label, t, hands in streams.labelled_rows(lines):
+            points = {}
+            for side, rows in hands:
+                arr = np.array(rows, dtype=np.float64)
+                assert arr.shape == (21, 2) and "RL"[side] not in points
+                points["RL"[side]] = arr.tobytes()
+            frames.append((label, t, points))
     except HandwaveError as exc:
         return type(exc), str(exc)
     return frames
@@ -495,10 +495,10 @@ def read_outcome(lines):
 
 
 def assert_same_error(lines):
-    """labelled_arrays raises what read_labelled raises on ``lines``, type and text."""
+    """labelled_rows raises what read_labelled raises on ``lines``, type and text."""
     error = read_outcome(lines)
     assert type(error) is tuple
-    assert arrays_outcome(lines) == error
+    assert rows_outcome(lines) == error
 
 
 ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 2, 21, 1.5, -0.0, 5e-324, 10**400, "R", "L",
@@ -546,11 +546,12 @@ def _one_hand_at(x):
 
 
 class TestLabelledArrays:
+    """labelled_rows against read_labelled (the class keeps the name of the reader it replaced)."""
+
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(lines=corpus_lines(), chunk_frames=st.sampled_from([1, 2, streams._CHUNK_FRAMES]))
-    def test_arrays_hold_what_read_labelled_reads(self, lines, chunk_frames):
-        with mock.patch.object(streams, "_CHUNK_FRAMES", chunk_frames):
-            assert arrays_outcome(lines) == read_outcome(lines)
+    @given(lines=corpus_lines())
+    def test_arrays_hold_what_read_labelled_reads(self, lines):
+        assert rows_outcome(lines) == read_outcome(lines)
 
     @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
     def test_bad_hand_gives_up(self, hand, mutate):
@@ -573,30 +574,17 @@ class TestLabelledArrays:
 
     def test_escaped_label_is_read(self):
         lines = [r'{"t": 0, "hands": [], "label": "\u00e9t\u00e9"}']
-        assert arrays_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", 0, {})]
+        assert rows_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", 0, {})]
 
     def test_negative_first_timestamp_gives_up(self):
         assert_same_error(['{"t": -1, "hands": []}'])
 
-    def test_chunks_restart_frame_numbers(self, monkeypatch):
-        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
-        hand = {"hd": "L", "pts": [[0.25, 0.75]] * 21}
-        lines = [json.dumps({"t": t, "hands": [hand] * (t % 2), "label": str(t)})
-                 for t in range(5)]
-        chunks = list(streams.labelled_arrays(lines))
-        assert [c.labels for c in chunks] == [["0", "1"], ["2", "3"], ["4"]]
-        assert [c.times for c in chunks] == [[0, 1], [2, 3], [4]]
-        assert [c.frame_of.tolist() for c in chunks] == [[1], [1], []]
-        assert [c.side.tolist() for c in chunks] == [[1], [1], []]
-        assert arrays_outcome(lines) == read_outcome(lines)
-
-    def test_a_fault_in_a_later_chunk_gives_up(self, monkeypatch):
-        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
+    def test_a_fault_in_a_later_chunk_gives_up(self):
         lines = [json.dumps({"t": t, "hands": []}) for t in range(4)] + ['{"t": 9, "hands": 0}']
-        chunks = streams.labelled_arrays(lines)
-        assert [next(chunks).labels, next(chunks).labels] == [["none"] * 2] * 2
+        rows = streams.labelled_rows(lines)
+        assert [next(rows) for _ in range(4)] == [("none", t, []) for t in range(4)]
         with pytest.raises(ValidationError, match="^line 5: hands: expected a list$"):
-            next(chunks)
+            next(rows)
         assert_same_error(lines)
 
     @pytest.mark.parametrize("edits, error, message", [
@@ -611,17 +599,40 @@ class TestLabelledArrays:
          "line 5: hands[0].pts[0].x: expected a number, got '0.5'"),
     ], ids=["order-opens-a-chunk", "value-in-a-later-chunk", "value-then-malformed-json",
             "value-then-unexpected-key", "value-in-the-partial-chunk"])
-    def test_a_fault_near_a_chunk_boundary_is_named(self, monkeypatch, edits, error, message):
-        """Five one-hand lines in chunks of two; an edit is a line's text or fields to set."""
-        monkeypatch.setattr(streams, "_CHUNK_FRAMES", 2)
+    def test_a_fault_near_a_chunk_boundary_is_named(self, edits, error, message):
+        """Five one-hand lines; an edit is a line's text or fields to set.
+
+        The ids name where the fault sat when the corpus was read in chunks of two.
+        """
         objs = [{"t": t, "hands": _one_hand_at(0.5), "label": "A"} for t in range(5)]
         lines = [json.dumps(obj) for obj in objs]
         for i, edit in edits.items():
             lines[i] = edit if isinstance(edit, str) else json.dumps({**objs[i], **edit})
-        assert arrays_outcome(lines) == read_outcome(lines) == (error, message)
+        assert rows_outcome(lines) == read_outcome(lines) == (error, message)
 
     def test_empty_corpus_has_no_chunks(self):
-        assert list(streams.labelled_arrays(["\n", "  \n"])) == []
+        assert list(streams.labelled_rows(["\n", "  \n"])) == []
+
+    def test_reads_no_line_ahead(self):
+        """Each row comes out before the next line is drawn, so a late fault follows every row."""
+        lines = [json.dumps({"t": t, "hands": _one_hand_at(0.5), "label": "A"})
+                 for t in range(1499)] + ['{"t": 1499, "hands": 0}']
+        drawn = []
+
+        def source():
+            for line in lines:
+                drawn.append(line)
+                yield line
+
+        rows = streams.labelled_rows(source())
+        for t in range(1499):
+            label, row_t, hands = next(rows)
+            assert (label, row_t, len(drawn)) == ("A", t, t + 1)
+            assert hands == [(0, _one_hand_at(0.5)[0]["pts"])]
+        with pytest.raises(ValidationError, match=r"^line 1500: hands: expected a list$"):
+            next(rows)
+        assert len(drawn) == 1500
+        assert_same_error(lines)
 
 
 class _Path:
