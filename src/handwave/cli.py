@@ -30,11 +30,10 @@ import numpy as np
 
 from . import control, detect, gestures, palmauth, streams, synth
 from ._jsonio import line_records, number, number_array, read_json, write_lines
-from .errors import ConfigError, DataError, HandwaveError
+from .errors import ConfigError, DataError, HandwaveError, ValidationError
 from .evaluate import (
-    evaluate as evaluate_pairs,  # unused here; perfbench's tracer wraps it by this name
-    evaluate_corpus,
-    evaluate_corpus_events,
+    evaluate as evaluate_pairs,  # the name perfbench's tracer wraps to time cmd_eval's scoring
+    evaluate_events,
     format_report_table,
     report_to_obj,
 )
@@ -99,10 +98,11 @@ def cmd_synth(args) -> int:
 def cmd_eval(args) -> int:
     registry = _registry(args.registry)
     params = _finger_params(_load_config(args.config))
+    pairs = streams.read_labelled(args.corpus)
     if args.events:
-        _emit(evaluate_corpus_events(args.corpus, registry, params))
+        _emit(evaluate_events(pairs, registry, params))
         return 0
-    report = evaluate_corpus(args.corpus, registry, params)
+    report = evaluate_pairs(pairs, registry, params)
     obj = report_to_obj(report)
     if args.out:
         write_lines(args.out, [obj])
@@ -153,7 +153,10 @@ def _load_mapping(path: str | None) -> dict[str, control.DeviceCommand]:
     for name, entry in obj.items():
         if not isinstance(entry, dict) or "device" not in entry or "action" not in entry:
             raise ConfigError(f"mapping: entry {name!r} needs 'device' and 'action'")
-        mapping[name] = control.DeviceCommand(entry["device"], entry["action"])
+        try:
+            mapping[name] = control.DeviceCommand(entry["device"], entry["action"])
+        except ValidationError as exc:
+            raise ConfigError(f"mapping: entry {name!r}: {exc}") from exc
     return mapping
 
 

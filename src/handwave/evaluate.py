@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -22,10 +21,8 @@ from .gestures import (
     GestureEngine,
     GestureRegistry,
     _classify_frame,
-    _classify_rows,
 )
-from .model import EvalReport, EvalRow, GestureEvent, HandFrame
-from .streams import labelled_rows
+from .model import EvalReport, EvalRow, HandFrame
 
 NO_MATCH = "none"
 _EVENT_COUNTS = ("expected", "detected", "spurious")
@@ -40,64 +37,34 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     column per label plus a trailing "none" column for frames that matched
     nothing. Raises DataError on an empty stream.
     """
-    tally = _Tally()
+    labels: dict[str, int] = {}  # each label and predicted name, by first-seen index
+    names: dict[str, int] = {}
+    label_ids: list[int] = []
+    name_ids: list[int] = []
     for frame, label in pairs:
-        tally.add(label, _classify_frame(frame, registry, params))
-    return tally.report()
+        label_ids.append(labels.setdefault(label, len(labels)))
+        name = _classify_frame(frame, registry, params) or NO_MATCH
+        name_ids.append(names.setdefault(name, len(names)))
+    if not label_ids:
+        raise DataError("evaluate: the labelled stream is empty")
+    counts = np.bincount(np.array(label_ids) * len(names) + name_ids,
+                         minlength=len(labels) * len(names)).reshape(len(labels), len(names))
+    columns = [*labels, *sorted(set(names) - {*labels, NO_MATCH})]
+    if NO_MATCH not in columns:
+        columns.append(NO_MATCH)
 
-
-def _corpus_names(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
-                  params: FingerStateParams) -> Iterator[tuple[str, str | None, int]]:
-    """(label, first match or None, t) of every frame of a corpus, read once."""
-    for label, t, hands in labelled_rows(source):
-        yield label, _classify_rows(hands, registry, params), t
-
-
-def evaluate_corpus(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
-                    params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> EvalReport:
-    """evaluate(read_labelled(source), registry, params), reading each line once."""
-    tally = _Tally()
-    for label, name, _ in _corpus_names(source, registry, params):
-        tally.add(label, name)
-    return tally.report()
-
-
-class _Tally:
-    """Each frame's label and predicted name, as indices in first-seen order."""
-
-    def __init__(self) -> None:
-        self.labels: dict[str, int] = {}
-        self.names: dict[str, int] = {}
-        self.label_ids: list[int] = []
-        self.name_ids: list[int] = []
-
-    def add(self, label: str, name: str | None) -> None:
-        """Count one frame; ``name`` is None when it matched nothing."""
-        self.label_ids.append(self.labels.setdefault(label, len(self.labels)))
-        self.name_ids.append(self.names.setdefault(name or NO_MATCH, len(self.names)))
-
-    def report(self) -> EvalReport:
-        if not self.label_ids:
-            raise DataError("evaluate: the labelled stream is empty")
-        labels, names = list(self.labels), list(self.names)
-        counts = np.bincount(np.array(self.label_ids) * len(names) + self.name_ids,
-                             minlength=len(labels) * len(names)).reshape(len(labels), len(names))
-        columns = labels + sorted(set(names) - {*labels, NO_MATCH})
-        if NO_MATCH not in columns:
-            columns.append(NO_MATCH)
-
-        col_index = {name: i for i, name in enumerate(columns)}
-        matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
-        matrix[:, [col_index[name] for name in names]] = counts
-        totals = counts.sum(axis=1).tolist()
-        correct = [int(matrix[r, col_index[label]]) for r, label in enumerate(labels)]
-        return EvalReport(
-            rows=tuple(map(EvalRow.from_counts, labels, totals, correct)),
-            totals=EvalRow.from_counts("total", len(self.label_ids), sum(correct)),
-            labels=tuple(labels),
-            columns=tuple(columns),
-            confusion=matrix,
-        )
+    col_index = {name: i for i, name in enumerate(columns)}
+    matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
+    matrix[:, [col_index[name] for name in names]] = counts
+    totals = counts.sum(axis=1).tolist()
+    correct = [int(matrix[r, col_index[label]]) for r, label in enumerate(labels)]
+    return EvalReport(
+        rows=tuple(map(EvalRow.from_counts, labels, totals, correct)),
+        totals=EvalRow.from_counts("total", len(label_ids), sum(correct)),
+        labels=tuple(labels),
+        columns=tuple(columns),
+        confusion=matrix,
+    )
 
 
 def pct_floor(numerator: int, denominator: int) -> str:
@@ -156,19 +123,7 @@ def evaluate_events(pairs: Iterable[tuple[HandFrame, str]],
     `evaluate` remains the headline metric.
     """
     engine = GestureEngine(registry, params)
-    return _event_tally((label, engine.step(frame)) for frame, label in pairs)
-
-
-def evaluate_corpus_events(source: Iterable[str] | str | os.PathLike, registry: GestureRegistry,
-                           params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> dict:
-    """evaluate_events(read_labelled(source), registry, params), reading each line once."""
-    engine = GestureEngine(registry, params)
-    return _event_tally((label, engine._advance(name, t))
-                        for label, name, t in _corpus_names(source, registry, params))
-
-
-def _event_tally(stepped: Iterable[tuple[str, list[GestureEvent]]]) -> dict:
-    """evaluate_events' counts over each frame's label and the events it triggered."""
+    stepped = ((label, engine.step(frame)) for frame, label in pairs)
     per: dict[str, dict[str, int]] = {}
     label = None  # stays None for an empty stream
     for label, run in itertools.groupby(stepped, key=lambda pair: pair[0]):

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from ._jsonio import _loads, number, read_json
 from .errors import StreamOrderError, ValidationError
@@ -203,24 +203,13 @@ def classify(arrays: Mapping[Handedness, PostureArray], registry: GestureRegistr
     return registry._table[right * _SLOTS + _slot(arrays.get(Handedness.LEFT))]
 
 
-def _classify_rows(hands: Iterable[tuple[int, list]], registry: GestureRegistry,
-                   params: FingerStateParams) -> str | None:
-    """The first match of a frame given as a (side, rows) pair per hand.
-
-    ``side`` is 0 for a right hand and 1 for a left one, ``rows`` the hand's
-    21 (x, y) rows; a frame has at most one hand per side.
-    """
-    slots = [_ABSENT, _ABSENT]
-    for side, rows in hands:
-        slots[side] = _hand_code(rows, params)
-    return registry._table[slots[0] * _SLOTS + slots[1]]
-
-
 def _classify_frame(frame: HandFrame, registry: GestureRegistry,
                     params: FingerStateParams) -> str | None:
     """classify(frame_arrays(frame, params), registry) without the posture objects."""
-    return _classify_rows([(hand.handedness is Handedness.LEFT, hand.points.tolist())
-                           for hand in frame.hands], registry, params)
+    slots = [_ABSENT, _ABSENT]
+    for hand in frame.hands:
+        slots[hand.handedness is Handedness.LEFT] = _hand_code(hand.points.tolist(), params)
+    return registry._table[slots[0] * _SLOTS + slots[1]]
 
 
 def frame_arrays(frame: HandFrame,
@@ -282,17 +271,13 @@ class GestureEngine:
                     Point2(x, y)  # raises the error cursor_point would
                 state.last_cursor = x, y
 
-        return self._advance(self.registry._table[right * _SLOTS + left], frame.t_ms)
-
-    def _advance(self, name: str | None, t_ms: int) -> list[GestureEvent]:
-        """step's debounce, for a frame at ``t_ms``; an onset takes ``state.last_cursor``."""
-        state = self.state
+        name = self.registry._table[right * _SLOTS + left]
         events: list[GestureEvent] = []
         if state.active is not None and name != state.active:
             events.append(GestureEvent(
                 name=state.active,
                 onset_ms=state.active_onset_ms,
-                offset_ms=t_ms,
+                offset_ms=frame.t_ms,
             ))
             state.active = None
             state.active_onset_ms = None
@@ -308,12 +293,12 @@ class GestureEngine:
                 state.streak = 1
             if state.streak >= self.registry.get(name).hold_frames:
                 state.active = name
-                state.active_onset_ms = t_ms
+                state.active_onset_ms = frame.t_ms
                 state.candidate = None
                 state.streak = 0
                 events.append(GestureEvent(
                     name=name,
-                    onset_ms=t_ms,
+                    onset_ms=frame.t_ms,
                     offset_ms=None,
                     cursor=None if state.last_cursor is None else Point2(*state.last_cursor),
                 ))

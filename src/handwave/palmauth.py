@@ -722,6 +722,8 @@ def load_store(path: str | Path) -> tuple[list[EnrollmentRecord], bool, int]:
             )
         except KeyError as exc:
             raise DataError(f"{where}: missing or bad field ({exc})") from exc
+        except ValidationError as exc:
+            raise DataError(f"{where}: {exc}") from exc
         if record.anchors.shape[1] != dim:
             raise DataError(
                 f"store: record {record.subject_id!r} dimension {record.anchors.shape[1]} != {dim}")

@@ -71,41 +71,40 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
     return LandmarkSet(points=points, handedness=Handedness(obj["hd"]), confidences=conf)
 
 
-def _hand_fields(obj: Any, absent: list, pairs: list, confs: list) -> int | None:
+def _hand_fields(obj: Any, pairs: list, confs: list) -> int | None:
     """0 for a right hand, 1 for a left one, or None when a field of ``obj`` is amiss.
 
-    The [x, y] pairs and the 21 confidences, ``absent`` when "conf" is, are
+    The [x, y] pairs and the 21 confidences, ones when "conf" is absent, are
     appended to ``pairs`` and ``confs``, for _unit_values to check.
     """
     if type(obj) is not dict or not obj.keys() <= _HAND_KEYS:
         return None
-    hd, pts, conf = obj.get("hd"), obj.get("pts"), obj.get("conf", absent)
+    hd, pts, conf = obj.get("hd"), obj.get("pts"), obj.get("conf", _ONES)
     if type(hd) is not str or hd not in _SIDE_INDEX \
             or type(pts) is not list or len(pts) != NUM_LANDMARKS \
-            or conf is not absent and (type(conf) is not list or len(conf) != NUM_LANDMARKS):
+            or conf is not _ONES and (type(conf) is not list or len(conf) != NUM_LANDMARKS):
         return None
     pairs += pts
     confs += conf
     return _SIDE_INDEX[hd]
 
 
-def _frame_fields(obj: Any, keys: set, absent: list, pairs: list, confs: list) -> list[int] | None:
+def _frame_fields(obj: Any, pairs: list, confs: list) -> list[int] | None:
     """The side of each hand of a frame object, or None when a field of it is amiss.
 
-    ``obj`` must be a dict with keys from ``keys``, an int "t" and a list of at
-    most two "hands" of different sides, each passing _hand_fields, which
-    appends its values to ``pairs`` and ``confs``: ``absent`` stands for a
-    missing "conf". The sign and order of "t" and the values themselves are
-    left to the caller.
+    ``obj`` must be a dict with keys from "t" and "hands", an int "t" and a list
+    of at most two "hands" of different sides, each passing _hand_fields, which
+    appends its values to ``pairs`` and ``confs``. The sign and order of "t"
+    and the values themselves are left to the caller.
     """
-    if type(obj) is not dict or not obj.keys() <= keys:
+    if type(obj) is not dict or not obj.keys() <= _FRAME_KEYS:
         return None
     t, hands = obj.get("t"), obj.get("hands")
     if type(t) is not int or type(hands) is not list or len(hands) > 2:
         return None
     sides: list[int] = []
     for hand in hands:
-        side = _hand_fields(hand, absent, pairs, confs)
+        side = _hand_fields(hand, pairs, confs)
         if side is None or side in sides:
             return None
         sides.append(side)
@@ -166,7 +165,7 @@ def frame_from_obj(obj: Any) -> HandFrame:
     """
     pairs: list = []
     confs: list = []
-    sides = _frame_fields(obj, _FRAME_KEYS, _ONES, pairs, confs)
+    sides = _frame_fields(obj, pairs, confs)
     if sides is not None and (t := obj["t"]) >= 0:
         if not sides:
             return HandFrame._checked(t, ())
@@ -265,10 +264,14 @@ def write_frames(dest: TextIO | str | os.PathLike, frames: Iterable[HandFrame]) 
     return write_lines(dest, map(_line_obj, frames))
 
 
-def _labelled_pairs(numbered: Iterable[tuple[int, Any]],
-                    last_t: int | None = None) -> Iterator[tuple[HandFrame, str]]:
-    """read_labelled's checks over (line number, object) pairs, in order after ``last_t``."""
-    for n, obj in numbered:
+def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[HandFrame, str]]:
+    """Yield (frame, label) pairs from a labelled corpus, one line at a time.
+
+    Lines without a "label" field yield the label "none". Timestamp ordering
+    is enforced exactly as in read_frames.
+    """
+    last_t: int | None = None
+    for n, obj in json_lines(source):
         with at_line(n):
             if not isinstance(obj, dict):
                 raise ValidationError("expected an object")
@@ -278,40 +281,6 @@ def _labelled_pairs(numbered: Iterable[tuple[int, Any]],
             frame = frame_from_obj(obj)
             last_t = _check_order(frame, last_t)
         yield frame, label
-
-
-def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[HandFrame, str]]:
-    """Yield (frame, label) pairs from a labelled corpus.
-
-    Lines without a "label" field yield the label "none". Timestamp ordering
-    is enforced exactly as in read_frames.
-    """
-    return _labelled_pairs(json_lines(source))
-
-
-_LABELLED_KEYS = _FRAME_KEYS | {"label"}
-
-
-def labelled_rows(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[str, int, list]]:
-    """(label, t, hands) of each frame read_labelled(source) yields, one line at a time.
-
-    ``hands`` holds a (side, rows) pair per hand, side 0 for a right hand and 1
-    for a left one, rows its 21 decoded [x, y] lists. Every check read_labelled
-    makes is repeated in bulk: frame_from_obj's bulk frame check, the label,
-    the timestamp order and one type and range check per line. When one
-    fails, read_labelled's checks run on that line and raise its error.
-    """
-    last_t = -1  # below every valid first timestamp, as frame_from_obj rejects t < 0
-    for n, obj in json_lines(source):
-        pairs: list = []
-        confs: list = []
-        sides = _frame_fields(obj, _LABELLED_KEYS, [], pairs, confs)  # no ones for a missing "conf"
-        if sides is None or type(label := obj.get("label", "none")) is not str or not label \
-                or (t := obj["t"]) <= last_t or _unit_values(pairs, confs) is None:
-            list(_labelled_pairs([(n, obj)], last_t))  # raises the line's error
-            raise AssertionError("labelled_rows rejected a line read_labelled accepts")
-        last_t = t
-        yield label, t, [(side, hand["pts"]) for side, hand in zip(sides, obj["hands"])]
 
 
 def write_labelled(dest: TextIO | str | os.PathLike, pairs: Iterable[tuple[HandFrame, str]]) -> int:

@@ -379,6 +379,16 @@ BAD_INPUTS = [
     ("store-anchors-string", "verify", "store.json",
      _store_record({"subject": "s0", "threshold": 0.5, "anchors": [["0.6", "0.8"]]}),
      "error: store: records[0].anchors[0][0]: expected a number, got '0.6'\n"),
+    # A record the store holds but enrollment refuses names the record.
+    ("store-subject-empty", "verify", "store.json",
+     _store_record({"subject": "", "threshold": 0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0]: enrollment: subject_id must be non-empty\n"),
+    ("store-anchors-empty", "verify", "store.json",
+     _store_record({"subject": "s0", "threshold": 0.5, "anchors": []}),
+     "error: store: records[0]: enrollment 's0': need at least one anchor embedding\n"),
+    ("store-threshold-negative", "verify", "store.json",
+     _store_record({"subject": "s0", "threshold": -0.5, "anchors": [[0.6, 0.8]]}),
+     "error: store: records[0]: enrollment 's0': threshold must be non-negative\n"),
     ("params-bias-string", "roc", "params.json", _with(PARAMS, b1=[0.0, "0.5", 0.0, 0.0]),
      "error: params: b1[1]: expected a number, got '0.5'\n"),
     # A fault found while decoding a record names its line.

@@ -175,7 +175,11 @@ class TestReplayTrack:
     @pytest.mark.parametrize("text, message", [
         ('[{"device": "tv", "action": "POWER"}]', "mapping: expected {gesture: {device, action}}"),
         ('{"One_VRF": {"device": "tv"}}', "mapping: entry 'One_VRF' needs 'device' and 'action'"),
-    ], ids=["not-object", "no-action"])
+        ('{"One_VRF": {"device": "t v", "action": "POWER"}}',
+         "mapping: entry 'One_VRF': device_id must match [A-Za-z0-9_]{1,16}, got 't v'"),
+        ('{"One_VRF": {"device": 5, "action": "POWER"}}',
+         "mapping: entry 'One_VRF': device_id must match [A-Za-z0-9_]{1,16}, got 5"),
+    ], ids=["not-object", "no-action", "device-space", "device-number"])
     def test_track_bad_mapping(self, capsys, tmp_path, text, message):
         frames = self.frames_path(tmp_path)
         port = tmp_path / "port"

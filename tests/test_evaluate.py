@@ -1,9 +1,10 @@
 """Frame and event evaluation, plus the truncated-percentage table formatting."""
 
-import dataclasses
-import importlib
+import contextlib
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,6 @@ from handwave import (
     EvalRow,
     FingerStateParams,
     GestureDef,
-    GestureEngine,
-    GestureEvent,
     GestureRegistry,
     HandwaveError,
     PostureArray,
@@ -35,11 +34,9 @@ from handwave import (
     synth_corpus,
     write_labelled,
 )
-from handwave.evaluate import evaluate_corpus, evaluate_corpus_events
-from handwave.gestures import _classify_frame
+from handwave import cli, save_registry
+from handwave._jsonio import dumps
 from handwave.model import HandFrame
-
-evaluate_module = importlib.import_module("handwave.evaluate")  # the package exports a function
 
 ONE = PostureArray.of(0, 1, 0, 0, 0)
 TWO = PostureArray.of(0, 1, 1, 0, 0)
@@ -134,11 +131,25 @@ class TestEvaluate:
         assert report.totals.correct_frames == 3
 
 
-def scored(report):
-    return report_to_obj(report), format_report_table(report), report.confusion.dtype
+def run_eval(lines, registry, params=DEFAULT_FINGER_PARAMS, *flags):
+    """``handwave eval`` on a corpus of ``lines``, in process: (exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, registry_path, config = (Path(tmp, name) for name in
+                                         ("corpus.jsonl", "registry.json", "config.json"))
+        corpus.write_text("".join(line + "\n" for line in lines), "ascii")
+        save_registry(registry_path, registry)
+        config.write_text(dumps({"finger_params": {"thumb_slope_max": params.thumb_slope_max,
+                                                   "thumb_min_dx": params.thumb_min_dx}}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["eval", "--corpus", str(corpus), "--registry", str(registry_path),
+                             "--config", str(config), *flags])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEvaluateCorpus:
+    """``eval`` prints what evaluate(read_labelled(corpus)) reports, or the error it raises."""
+
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.2])
     @pytest.mark.parametrize("registry, params", [
         (default_registry(), DEFAULT_FINGER_PARAMS),
@@ -153,17 +164,22 @@ class TestEvaluateCorpus:
         write_labelled(text, synth_corpus(spec))
         lines = text.getvalue().splitlines()
         want = evaluate(read_labelled(lines), registry, params)
-        assert scored(evaluate_corpus(lines, registry, params)) == scored(want)
+        table = format_report_table(want)
+        assert run_eval(lines, registry, params) == \
+            (0, f"{dumps(report_to_obj(want))}\n{table}\n", "")
 
     def test_rejected_corpus_raises_the_line_error(self):
         lines = ['{"t": 0, "hands": []}', '{"t": 0, "hands": []}']
-        with pytest.raises(StreamOrderError,
-                           match="^line 2: timestamp 0 does not increase past 0$"):
-            evaluate_corpus(lines, small_registry())
+        message = "line 2: timestamp 0 does not increase past 0"
+        with pytest.raises(StreamOrderError, match=f"^{message}$"):
+            evaluate(read_labelled(lines), small_registry())
+        assert run_eval(lines, small_registry()) == (1, "", f"error: {message}\n")
 
     def test_empty_corpus_rejected_as_evaluate_rejects_it(self):
-        with pytest.raises(DataError, match="^evaluate: the labelled stream is empty$"):
-            evaluate_corpus(["\n"], small_registry())
+        message = "evaluate: the labelled stream is empty"
+        with pytest.raises(DataError, match=f"^{message}$"):
+            evaluate(read_labelled(["\n"]), small_registry())
+        assert run_eval(["\n"], small_registry()) == (1, "", f"error: {message}\n")
 
 
 class TestPctFloor:
@@ -272,14 +288,13 @@ def corpus_lines(registry, seed, sigma, frames=12):
 
 
 def events_outcome(lines, registry, params=DEFAULT_FINGER_PARAMS):
-    """(corpus path, frame path) results of the event tally, or each one's error (type, text)."""
-    outcomes = []
-    for run in (lambda: evaluate_corpus_events(lines, registry, params),
-                lambda: evaluate_events(read_labelled(lines), registry, params)):
-        try:
-            outcomes.append(run())
-        except HandwaveError as exc:
-            outcomes.append((type(exc), str(exc)))
+    """(eval --events, evaluate_events(read_labelled(lines))): each one's tally, or its error line."""
+    code, out, err = run_eval(lines, registry, params, "--events")
+    outcomes = [json.loads(out) if (code, err) == (0, "") else (code, out, err)]
+    try:
+        outcomes.append(evaluate_events(read_labelled(lines), registry, params))
+    except HandwaveError as exc:
+        outcomes.append((1, "", f"error: {exc}\n"))
     return outcomes
 
 
@@ -296,28 +311,17 @@ ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 40, 1.5, 10**400, float("nan
 
 
 class TestEvaluateCorpusEvents:
-    """The array pass feeds the engine's debounce names; the tally equals the frame path's."""
+    """``eval --events`` prints what evaluate_events(read_labelled(corpus)) tallies, or its error."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("sigma", [0.0, 0.03, 0.05])
     @pytest.mark.parametrize("registry", [default_registry(), MIXED_HOLDS],
                              ids=["stock", "mixed-holds"])
-    def test_arrays_give_the_frame_path_tally(self, monkeypatch, seed, sigma, registry):
-        tallied = []  # each path's labels and events; only step's onsets carry a cursor
-
-        def recording(stepped):
-            stepped = [(label, [(e.name, e.onset_ms, e.offset_ms) for e in events])
-                       for label, events in stepped]
-            tallied.append(stepped)
-            return tally((label, [GestureEvent(*e) for e in events]) for label, events in stepped)
-
-        tally = evaluate_module._event_tally
-        monkeypatch.setattr(evaluate_module, "_event_tally", recording)
+    def test_arrays_give_the_frame_path_tally(self, seed, sigma, registry):
         corpus, frames = events_outcome(corpus_lines(registry, seed, sigma), registry)
         assert corpus == frames and type(corpus) is dict
         assert list(corpus["per_gesture"]) == list(frames["per_gesture"])
         assert corpus["totals"]["detected"] > 0
-        assert tallied[0] == tallied[1] and any(events for _, events in tallied[0])
 
     def test_gesture_named_none_is_never_expected(self):
         lines = corpus_lines(MIXED_HOLDS, 3, 0.0)
@@ -354,18 +358,4 @@ class TestEvaluateCorpusEvents:
 
     def test_empty_corpus_rejected_as_evaluate_events_rejects_it(self):
         assert events_outcome(["\n", " "], small_registry()) == \
-            [(DataError, "evaluate: empty stream")] * 2
-
-    @pytest.mark.parametrize("registry", [default_registry(), MIXED_HOLDS],
-                             ids=["stock", "mixed-holds"])
-    def test_advance_fed_names_gives_the_events_of_step(self, registry):
-        stepped, fed = GestureEngine(registry), GestureEngine(registry)
-        events = []
-        for frame, _ in read_labelled(corpus_lines(registry, 5, 0.05)):
-            want = stepped.step(frame)
-            fed.state.last_cursor = stepped.state.last_cursor  # step keeps the cursor
-            name = _classify_frame(frame, registry, DEFAULT_FINGER_PARAMS)
-            assert fed._advance(name, frame.t_ms) == want
-            events += want
-        assert fed.state == dataclasses.replace(stepped.state, last_t_ms=None)
-        assert {e.is_onset for e in events} == {True, False}
+            [(1, "", "error: evaluate: empty stream\n")] * 2

@@ -1,5 +1,6 @@
 """Frame JSONL: parse/serialize round trips, strict schema rejection, stream order."""
 
+import importlib
 import io
 import json
 from unittest import mock
@@ -17,6 +18,8 @@ from handwave import (
     ParseError,
     StreamOrderError,
     ValidationError,
+    default_registry,
+    evaluate,
     frame_from_obj,
     frame_to_obj,
     parse_frame,
@@ -28,6 +31,8 @@ from handwave import (
     write_labelled,
 )
 from handwave import streams
+
+evaluate_module = importlib.import_module("handwave.evaluate")  # the package exports a function
 
 VALID_LINE = json.dumps({
     "t": 40,
@@ -231,7 +236,7 @@ def walked(obj):
 def bulk_values(obj):
     """The bulk frame check's one array for ``obj``, or None where it fails."""
     pairs, confs = [], []
-    sides = streams._frame_fields(obj, streams._FRAME_KEYS, streams._ONES, pairs, confs)
+    sides = streams._frame_fields(obj, pairs, confs)
     return None if sides is None else streams._unit_values(pairs, confs)
 
 
@@ -394,9 +399,10 @@ class TestBulkHandCheck:
             conf = frame_from_obj(obj).hands[hand].confidences
             assert conf.tolist() == [1.0] * 21 and not conf.flags.writeable
         lines = [json.dumps({**one, "t": 0}), json.dumps({**two, "t": 1, "label": "A"})]
-        want = read_outcome(lines)
-        assert [len(hands) for _, _, hands in want] == [1, 2]
-        assert rows_outcome(lines) == want
+        (first, _), (second, label) = read_labelled(lines)
+        assert [len(first.hands), len(second.hands), label] == [1, 2, "A"]
+        for conf in (first.hands[0].confidences, second.hands[1].confidences):
+            assert conf.tolist() == [1.0] * 21 and not conf.flags.writeable
 
 
 # --- the lean frame path against the public constructors --------------------
@@ -467,26 +473,10 @@ class TestLeanFramePath:
             parse_frame("[1]")
 
 
-# --- the labelled corpus row by row against read_labelled --------------------
-
-def rows_outcome(lines):
-    """labelled_rows' frames as (label, t, {side: point bytes}), or its error's (type, text)."""
-    frames = []
-    try:
-        for label, t, hands in streams.labelled_rows(lines):
-            points = {}
-            for side, rows in hands:
-                arr = np.array(rows, dtype=np.float64)
-                assert arr.shape == (21, 2) and "RL"[side] not in points
-                points["RL"[side]] = arr.tobytes()
-            frames.append((label, t, points))
-    except HandwaveError as exc:
-        return type(exc), str(exc)
-    return frames
-
+# --- the labelled corpus: read_labelled against the walker -------------------
 
 def read_outcome(lines):
-    """The same from read_labelled."""
+    """read_labelled's frames as (label, t, {side: point bytes}), or its error's (type, text)."""
     try:
         return [(label, frame.t_ms, {h.handedness.value: h.points.tobytes() for h in frame.hands})
                 for frame, label in read_labelled(lines)]
@@ -494,11 +484,10 @@ def read_outcome(lines):
         return type(exc), str(exc)
 
 
-def assert_same_error(lines):
-    """labelled_rows raises what read_labelled raises on ``lines``, type and text."""
-    error = read_outcome(lines)
-    assert type(error) is tuple
-    assert rows_outcome(lines) == error
+def walked_outcome(lines):
+    """The same with every frame sent through the walker."""
+    with mock.patch.object(streams, "_frame_fields", lambda *args: None):
+        return read_outcome(lines)
 
 
 ODD_VALUES = st.sampled_from([None, True, 0, 1, -1, 2, 21, 1.5, -0.0, 5e-324, 10**400, "R", "L",
@@ -546,46 +535,65 @@ def _one_hand_at(x):
 
 
 class TestLabelledArrays:
-    """labelled_rows against read_labelled (the class keeps the name of the reader it replaced)."""
+    """read_labelled's frames and errors (the class keeps the name of a reader it replaced)."""
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(lines=corpus_lines())
     def test_arrays_hold_what_read_labelled_reads(self, lines):
-        assert rows_outcome(lines) == read_outcome(lines)
+        assert read_outcome(lines) == walked_outcome(lines)
 
     @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
     def test_bad_hand_gives_up(self, hand, mutate):
         obj = TestBulkHandCheck.two_hands()
         mutate(obj["hands"][hand])
-        assert_same_error(['{"t": 0, "hands": []}', json.dumps(obj)])
+        with pytest.raises(ValidationError) as info:
+            streams._hand_from_obj(obj["hands"][hand], f"hands[{hand}]")
+        lines = ['{"t": 0, "hands": []}', json.dumps(obj)]
+        assert read_outcome(lines) == (ValidationError, f"line 2: {info.value}")
 
-    @pytest.mark.parametrize("line", [
-        '{"t": 40, "hands": [], "label": ""}', '{"t": 40, "hands": [], "label": 1}',
-        '{"t": 0, "hands": []}', '{"t": 40.0, "hands": []}', '{"t": true, "hands": []}',
-        '{"t": 40, "hands": {}}', '{"t": 40}', '{"hands": []}', '{"t": 40, "hands": [], "x": 1}',
-        '[]', '"One_VRF"', '{"t": 40', '{"t": 40, "hands": [], "label": "\u00e9"}',
-        json.dumps({"t": 40, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}] * 2}),
-        json.dumps({"t": 40, "hands": [{"hd": "L", "pts": [[0.5, 0.5]] * 21}] * 3}),
+    @pytest.mark.parametrize("line, error, message", [
+        ('{"t": 40, "hands": [], "label": ""}', ValidationError,
+         "label must be a non-empty string"),
+        ('{"t": 40, "hands": [], "label": 1}', ValidationError,
+         "label must be a non-empty string"),
+        ('{"t": 0, "hands": []}', StreamOrderError, "timestamp 0 does not increase past 0"),
+        ('{"t": 40.0, "hands": []}', ValidationError, "t: expected integer milliseconds, got 40.0"),
+        ('{"t": true, "hands": []}', ValidationError, "t: expected integer milliseconds, got True"),
+        ('{"t": 40, "hands": {}}', ValidationError, "hands: expected a list"),
+        ('{"t": 40}', ValidationError, "frame: missing field 'hands'"),
+        ('{"hands": []}', ValidationError, "frame: missing field 't'"),
+        ('{"t": 40, "hands": [], "x": 1}', ValidationError, "frame: unexpected field 'x'"),
+        ('[]', ValidationError, "expected an object"),
+        ('"One_VRF"', ValidationError, "expected an object"),
+        ('{"t": 40', ParseError, "malformed JSON: Expecting ',' delimiter: line 1 column 9 (char 8)"),
+        ('{"t": 40, "hands": [], "label": "\u00e9"}', ParseError,
+         "not ASCII: 'ascii' codec can't encode character '\\xe9' in position 33: "
+         "ordinal not in range(128)"),
+        (json.dumps({"t": 40, "hands": [{"hd": "R", "pts": [[0.5, 0.5]] * 21}] * 2}),
+         ValidationError, "hands: duplicate handedness"),
+        (json.dumps({"t": 40, "hands": [{"hd": "L", "pts": [[0.5, 0.5]] * 21}] * 3}),
+         ValidationError, "hands: at most 2 hands per frame, got 3"),
     ], ids=["empty-label", "number-label", "same-t", "float-t", "bool-t", "hands-object",
             "no-hands", "no-t", "extra-key", "list-line", "string-line", "malformed",
             "non-ascii", "duplicate-hands", "three-hands"])
-    def test_bad_line_gives_up(self, line):
-        assert_same_error(['{"t": 0, "hands": []}', line])
+    def test_bad_line_gives_up(self, line, error, message):
+        lines = ['{"t": 0, "hands": []}', line]
+        assert read_outcome(lines) == walked_outcome(lines) == (error, f"line 2: {message}")
 
     def test_escaped_label_is_read(self):
         lines = [r'{"t": 0, "hands": [], "label": "\u00e9t\u00e9"}']
-        assert rows_outcome(lines) == read_outcome(lines) == [("\u00e9t\u00e9", 0, {})]
+        assert read_outcome(lines) == [("\u00e9t\u00e9", 0, {})]
 
     def test_negative_first_timestamp_gives_up(self):
-        assert_same_error(['{"t": -1, "hands": []}'])
+        assert read_outcome(['{"t": -1, "hands": []}']) == \
+            (ValidationError, "line 1: t: must be non-negative, got -1")
 
     def test_a_fault_in_a_later_chunk_gives_up(self):
         lines = [json.dumps({"t": t, "hands": []}) for t in range(4)] + ['{"t": 9, "hands": 0}']
-        rows = streams.labelled_rows(lines)
-        assert [next(rows) for _ in range(4)] == [("none", t, []) for t in range(4)]
+        pairs = read_labelled(lines)
+        assert [next(pairs) for _ in range(4)] == [(HandFrame(t_ms=t), "none") for t in range(4)]
         with pytest.raises(ValidationError, match="^line 5: hands: expected a list$"):
-            next(rows)
-        assert_same_error(lines)
+            next(pairs)
 
     @pytest.mark.parametrize("edits, error, message", [
         ({2: {"t": 1}}, StreamOrderError, "line 3: timestamp 1 does not increase past 1"),
@@ -608,15 +616,19 @@ class TestLabelledArrays:
         lines = [json.dumps(obj) for obj in objs]
         for i, edit in edits.items():
             lines[i] = edit if isinstance(edit, str) else json.dumps({**objs[i], **edit})
-        assert rows_outcome(lines) == read_outcome(lines) == (error, message)
+        assert read_outcome(lines) == (error, message)
 
     def test_empty_corpus_has_no_chunks(self):
-        assert list(streams.labelled_rows(["\n", "  \n"])) == []
+        assert list(read_labelled(["\n", "  \n"])) == []
 
     def test_reads_no_line_ahead(self):
-        """Each row comes out before the next line is drawn, so a late fault follows every row."""
+        """Each frame is read, and scored, before the next line is drawn.
+
+        So a late fault is raised after every earlier frame was scored.
+        """
         lines = [json.dumps({"t": t, "hands": _one_hand_at(0.5), "label": "A"})
                  for t in range(1499)] + ['{"t": 1499, "hands": 0}']
+        fault = r"^line 1500: hands: expected a list$"
         drawn = []
 
         def source():
@@ -624,15 +636,27 @@ class TestLabelledArrays:
                 drawn.append(line)
                 yield line
 
-        rows = streams.labelled_rows(source())
+        pairs = read_labelled(source())
         for t in range(1499):
-            label, row_t, hands = next(rows)
-            assert (label, row_t, len(drawn)) == ("A", t, t + 1)
-            assert hands == [(0, _one_hand_at(0.5)[0]["pts"])]
-        with pytest.raises(ValidationError, match=r"^line 1500: hands: expected a list$"):
-            next(rows)
+            frame, label = next(pairs)
+            assert (label, frame.t_ms, len(drawn)) == ("A", t, t + 1)
+        assert frame == parse_frame(json.dumps({"t": 1498, "hands": _one_hand_at(0.5)}))
+        with pytest.raises(ValidationError, match=fault):
+            next(pairs)
         assert len(drawn) == 1500
-        assert_same_error(lines)
+
+        drawn.clear()
+        scored = []
+        classify = evaluate_module._classify_frame
+
+        def recording(frame, *args):
+            scored.append((frame.t_ms, len(drawn)))
+            return classify(frame, *args)
+
+        with mock.patch.object(evaluate_module, "_classify_frame", recording), \
+                pytest.raises(ValidationError, match=fault):
+            evaluate(read_labelled(source()), default_registry())
+        assert scored == [(t, t + 1) for t in range(1499)]
 
 
 class _Path:
