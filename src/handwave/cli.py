@@ -395,10 +395,8 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except HandwaveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # A MemoryError is an allocation that cannot succeed, as for synth --frames 10**15.
+    except (HandwaveError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

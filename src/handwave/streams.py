@@ -27,8 +27,6 @@ from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
 _FRAME_KEYS = {"t", "hands"}
 _HAND_KEYS = {"hd", "pts", "conf"}
-_SIDE_INDEX = {"R": 0, "L": 1}
-_HANDEDNESS = (Handedness.RIGHT, Handedness.LEFT)
 _ONES = [1.0] * NUM_LANDMARKS  # the confidences of a hand without "conf"
 
 
@@ -40,11 +38,17 @@ def _unit_number(value: Any, path: str) -> float:
 
 
 def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
+    """The hand a hand object describes, or the error naming its first bad field.
+
+    Its values are checked in bulk as one array, which the hand views; only
+    when that check fails are they walked one by one, to name the bad one.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in _HAND_KEYS:
-            raise ValidationError(f"{path}: unexpected field {key!r}")
+    if not obj.keys() <= _HAND_KEYS:
+        for key in obj:
+            if key not in _HAND_KEYS:
+                raise ValidationError(f"{path}: unexpected field {key!r}")
     if "hd" not in obj:
         raise ValidationError(f"{path}: missing field 'hd'")
     if obj["hd"] not in ("L", "R"):
@@ -56,6 +60,13 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
         raise ValidationError(
             f"{path}.pts: expected {NUM_LANDMARKS} points, got "
             f"{len(pts) if isinstance(pts, list) else type(pts).__name__}")
+    conf = obj.get("conf", _ONES)
+    if conf is _ONES or type(conf) is list and len(conf) == NUM_LANDMARKS:
+        arr = _unit_values(pts, conf)
+        if arr is not None:
+            arr.setflags(write=False)  # so are its views, the hand's arrays
+            return LandmarkSet._checked(arr[:2 * NUM_LANDMARKS].reshape(NUM_LANDMARKS, 2),
+                                        Handedness(obj["hd"]), arr[2 * NUM_LANDMARKS:])
     points = []
     for j, pair in enumerate(pts):
         if not isinstance(pair, list) or len(pair) != 2:
@@ -69,46 +80,6 @@ def _hand_from_obj(obj: Any, path: str) -> LandmarkSet:
             raise ValidationError(f"{path}.conf: expected {NUM_LANDMARKS} values")
         conf = [_unit_number(v, f"{path}.conf[{j}]") for j, v in enumerate(raw)]
     return LandmarkSet(points=points, handedness=Handedness(obj["hd"]), confidences=conf)
-
-
-def _hand_fields(obj: Any, pairs: list, confs: list) -> int | None:
-    """0 for a right hand, 1 for a left one, or None when a field of ``obj`` is amiss.
-
-    The [x, y] pairs and the 21 confidences, ones when "conf" is absent, are
-    appended to ``pairs`` and ``confs``, for _unit_values to check.
-    """
-    if type(obj) is not dict or not obj.keys() <= _HAND_KEYS:
-        return None
-    hd, pts, conf = obj.get("hd"), obj.get("pts"), obj.get("conf", _ONES)
-    if type(hd) is not str or hd not in _SIDE_INDEX \
-            or type(pts) is not list or len(pts) != NUM_LANDMARKS \
-            or conf is not _ONES and (type(conf) is not list or len(conf) != NUM_LANDMARKS):
-        return None
-    pairs += pts
-    confs += conf
-    return _SIDE_INDEX[hd]
-
-
-def _frame_fields(obj: Any, pairs: list, confs: list) -> list[int] | None:
-    """The side of each hand of a frame object, or None when a field of it is amiss.
-
-    ``obj`` must be a dict with keys from "t" and "hands", an int "t" and a list
-    of at most two "hands" of different sides, each passing _hand_fields, which
-    appends its values to ``pairs`` and ``confs``. The sign and order of "t"
-    and the values themselves are left to the caller.
-    """
-    if type(obj) is not dict or not obj.keys() <= _FRAME_KEYS:
-        return None
-    t, hands = obj.get("t"), obj.get("hands")
-    if type(t) is not int or type(hands) is not list or len(hands) > 2:
-        return None
-    sides: list[int] = []
-    for hand in hands:
-        side = _hand_fields(hand, pairs, confs)
-        if side is None or side in sides:
-            return None
-        sides.append(side)
-    return sides
 
 
 def _unit_values(pairs: list, confs: list) -> np.ndarray | None:
@@ -127,7 +98,7 @@ def _unit_values(pairs: list, confs: list) -> np.ndarray | None:
         arr = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         return None
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):  # NaN fails both
         return None
     return arr
 
@@ -136,9 +107,10 @@ def _frame_header(obj: Any) -> tuple[int, list]:
     """The timestamp and the hand list of a frame object, or the error naming its bad field."""
     if not isinstance(obj, dict):
         raise ValidationError(f"frame: expected an object, got {type(obj).__name__}")
-    for key in obj:
-        if key not in _FRAME_KEYS:
-            raise ValidationError(f"frame: unexpected field {key!r}")
+    if not obj.keys() <= _FRAME_KEYS:
+        for key in obj:
+            if key not in _FRAME_KEYS:
+                raise ValidationError(f"frame: unexpected field {key!r}")
     if "t" not in obj:
         raise ValidationError("frame: missing field 't'")
     if "hands" not in obj:
@@ -157,35 +129,18 @@ def _frame_header(obj: Any) -> tuple[int, list]:
 def frame_from_obj(obj: Any) -> HandFrame:
     """Build a HandFrame from a decoded JSON object, rejecting schema deviations.
 
-    The whole frame is checked in bulk first. A frame that passes, with a
-    non-negative "t", is wrapped as views of one read-only array; only a
-    left-first one goes through the HandFrame constructor, which sorts it. Any
-    other is walked field by field and built by that constructor, so that the
-    error names the field at fault.
+    The hands are read in document order, each checked whole before the next,
+    so the error names the first field at fault. A frame with a non-negative
+    "t" and its hands in canonical order is wrapped as it is; any other goes
+    through the HandFrame constructor, which sorts a left-first pair or
+    raises.
     """
-    pairs: list = []
-    confs: list = []
-    sides = _frame_fields(obj, pairs, confs)
-    if sides is not None and (t := obj["t"]) >= 0:
-        if not sides:
-            return HandFrame._checked(t, ())
-        arr = _unit_values(pairs, confs)
-        if arr is not None:
-            arr.setflags(write=False)  # so are its views, the hands' arrays
-            hands = []
-            at, conf_at = 0, 2 * len(pairs)  # every x and y comes first, then every confidence
-            for side in sides:
-                hands.append(LandmarkSet._checked(
-                    arr[at:at + 2 * NUM_LANDMARKS].reshape(NUM_LANDMARKS, 2), _HANDEDNESS[side],
-                    arr[conf_at:conf_at + NUM_LANDMARKS]))
-                at += 2 * NUM_LANDMARKS
-                conf_at += NUM_LANDMARKS
-            if sides == [1, 0]:  # left first: the constructor sorts them
-                return HandFrame(t_ms=t, hands=tuple(hands))
-            return HandFrame._checked(t, tuple(hands))
     t, hands_obj = _frame_header(obj)
-    return HandFrame(t_ms=t, hands=tuple([_hand_from_obj(h, f"hands[{i}]")
-                                          for i, h in enumerate(hands_obj)]))
+    hands = tuple([_hand_from_obj(h, f"hands[{i}]") for i, h in enumerate(hands_obj)])
+    if t >= 0 and (len(hands) < 2 or (hands[0].handedness is Handedness.RIGHT
+                                      and hands[1].handedness is Handedness.LEFT)):
+        return HandFrame._checked(t, hands)
+    return HandFrame(t_ms=t, hands=hands)
 
 
 def frame_to_obj(frame: HandFrame) -> dict:

@@ -304,6 +304,10 @@ BAD_INPUTS = [
      "error: synth: jitter_sigma must be non-negative"),
     ("synth-negative-seed", "synth", "--seed", "-1",
      "error: synth: seed must be non-negative, got -1"),
+    ("synth-frames-unallocatable", "synth", "--frames", "1000000000000000",
+     "error: Unable to allocate 597. PiB for an array with shape (1000000000000000, 2, 21, 2) "
+     "and data type float64\n"),
+    ("enroll-unknown-subject", "enroll", "--subject", "zz", "error: subject 'zz' not present in "),
     ("train-alpha-nan", "train", "--alpha", "nan", "error: alpha must be finite, got nan"),
     ("train-negative-seed", "train", "--seed", "-1",
      "error: seed must be non-negative, got -1"),
@@ -404,6 +408,24 @@ BAD_INPUTS = [
     ("maps-region-off-image", "keypoints", "maps.jsonl",
      _lines(MAPS, {**MAPS, "region": [0.95, 0.5, 0.4, 0.4]}),
      "error: line 2: hands[0].pts: coordinates must lie in [0, 1]\n"),
+    ("train-features-empty", "train", "data.jsonl", b"", "error: feature dataset is empty\n"),
+    ("roc-features-blank", "roc", "data.jsonl", b"\n  \n", "error: feature dataset is empty\n"),
+    ("params-no-b2", "roc", "params.json",
+     json.dumps({k: v for k, v in PARAMS.items() if k != "b2"}).encode(),
+     "error: params: missing or bad field ('b2')\n"),
+    ("store-anchors-31-columns", "verify", "store.json",
+     _with(STORE, dim=32, records=[{**STORE["records"][0], "anchors": [[0.1] * 31]}]),
+     "error: store: record 's0' dimension 31 != 32\n"),
+    ("preds-anchors-cfg-list", "decode", "preds.jsonl", _with(PREDS, anchors_cfg=[]),
+     "error: line 1: anchors: expected an object\n"),
+    ("region-three-values", "keypoints", "maps.jsonl", _with(MAPS, region=[0.5, 0.5, 0.4]),
+     "error: line 1: region must be [cx, cy, w, h]\n"),
+    ("registry-entry-number", "replay", "registry.json", b"[5]",
+     "error: registry[0]: expected an object\n"),
+    ("registry-double-no-left", "replay", "registry.json",
+     json.dumps([{"name": "Both", "pattern": {"double": {"R": [0, 0, 0, 0, 0]}},
+                 "hold_frames": 5}]).encode(),
+     "error: registry[0].pattern.double: expected 'R' and 'L' postures\n"),
 ]
 # eval --events reads its files as eval does, and fails alike but for its own
 # empty-stream text.

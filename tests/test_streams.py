@@ -225,19 +225,17 @@ class TestStreams:
         assert pairs == [(HandFrame(t_ms=0), "none")]
 
 
-# --- the bulk frame check against the field-by-field walker ------------------
+# --- the bulk hand check against the value-by-value walk ---------------------
 
 def walked(obj):
-    """frame_from_obj with the whole frame sent through the walker."""
-    with mock.patch.object(streams, "_frame_fields", lambda *args: None):
+    """frame_from_obj with every hand's values walked one by one."""
+    with mock.patch.object(streams, "_unit_values", lambda *args: None):
         return frame_from_obj(obj)
 
 
 def bulk_values(obj):
-    """The bulk frame check's one array for ``obj``, or None where it fails."""
-    pairs, confs = [], []
-    sides = streams._frame_fields(obj, pairs, confs)
-    return None if sides is None else streams._unit_values(pairs, confs)
+    """The bulk check's one array for each hand of ``obj``, None where it fails."""
+    return [streams._unit_values(h["pts"], h.get("conf", streams._ONES)) for h in obj["hands"]]
 
 
 def root(arr):
@@ -308,13 +306,43 @@ BAD_HAND_IDS = [
     "number-pair", "pts-object", "extra-key", "bad-hd", "list-hd", "no-hd", "no-pts",
     "20-conf", "string-conf", "null-conf", "list-in-conf",
 ]
+# The rows _hand_from_obj rejects before any value is checked.
+STRUCTURAL_HANDS = {"20-points", "22-points", "pts-object", "extra-key", "bad-hd", "list-hd",
+                    "no-hd", "no-pts", "20-conf", "string-conf"}
+
+
+# Frames with more than one fault, and the first error, which the walk order decides.
+_PTS = [[0.5, 0.5]] * 21
+FIRST_ERRORS = [
+    ({"t": 0, "hands": [{"hd": "R", "pts": [[0.5, 2.0]] + _PTS[1:]}, {"hd": "L"}]},
+     "hands[0].pts[0].y: must lie in [0, 1], got 2.0"),
+    ({"t": 0, "hands": [{"hd": "R", "pts": _PTS[:3] + [[-1, 0.5]] + _PTS[4:],
+                         "conf": [0.5] * 20}]},
+     "hands[0].pts[3].x: must lie in [0, 1], got -1"),
+    ({"t": "5", "hands": [{"hd": "Q", "pts": _PTS}]},
+     "t: expected integer milliseconds, got '5'"),
+    ({"t": -1, "hands": [{"hd": "R", "pts": _PTS}, {"hd": "R", "pts": _PTS}]},
+     "t: must be non-negative, got -1"),
+    ({"t": 0, "hands": [{"hd": "R", "pts": _PTS},
+                        {"hd": "L", "pts": _PTS, "conf": [0.5] * 20 + [2.0], "x": 1}]},
+     "hands[1]: unexpected field 'x'"),
+    ({"t": 0, "hands": [{"hd": "L", "pts": _PTS},
+                        {"hd": "L", "pts": [[0.5, None]] + _PTS[1:]}]},
+     "hands[1].pts[0].y: expected a number, got None"),
+    ({"t": 0, "hands": [{"hd": "L", "pts": _PTS, "conf": [True] * 21},
+                        {"hd": "R", "pts": _PTS[:20]}]},
+     "hands[0].conf[0]: expected a number, got True"),
+]
+FIRST_ERROR_IDS = ["value-then-missing-pts", "point-then-conf-length", "string-t-then-bad-hd",
+                   "negative-t-then-duplicate", "key-then-value", "value-then-duplicate",
+                   "left-first-conf-then-points"]
 
 
 class TestBulkHandCheck:
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(obj=frame_objs())
     def test_valid_frames_equal_the_walkers(self, obj):
-        assert bulk_values(obj) is not None
+        assert all(arr is not None for arr in bulk_values(obj))
         want = outcome(walked, obj)
         assert outcome(frame_from_obj, obj) == want
         assert outcome(parse_frame, json.dumps(obj)) == want
@@ -328,16 +356,24 @@ class TestBulkHandCheck:
         obj["hands"].append(left)
         return obj
 
-    @pytest.mark.parametrize("hand, mutate", BAD_HANDS, ids=BAD_HAND_IDS)
-    def test_bad_hand_fails_as_the_walker_fails(self, hand, mutate):
+    @pytest.mark.parametrize("name, hand, mutate",
+                             [(name, *row) for name, row in zip(BAD_HAND_IDS, BAD_HANDS)],
+                             ids=BAD_HAND_IDS)
+    def test_bad_hand_fails_as_the_walker_fails(self, name, hand, mutate):
         obj = self.two_hands()
         mutate(obj["hands"][hand])
-        assert bulk_values(obj) is None
+        if name not in STRUCTURAL_HANDS:
+            assert bulk_values(obj)[hand] is None
         with pytest.raises(ValidationError) as info:
             streams._hand_from_obj(obj["hands"][hand], f"hands[{hand}]")
         want = (ValidationError, str(info.value))
         assert outcome(frame_from_obj, obj) == want
         assert outcome(parse_frame, json.dumps(obj)) == want
+
+    @pytest.mark.parametrize("obj, message", FIRST_ERRORS, ids=FIRST_ERROR_IDS)
+    def test_first_error_across_hands(self, obj, message):
+        assert outcome(frame_from_obj, obj) == (ValidationError, message)
+        assert outcome(parse_frame, json.dumps(obj)) == (ValidationError, message)
 
     @pytest.mark.parametrize("mutate", [
         lambda o: o["hands"][1].__setitem__("hd", "R"),
@@ -350,33 +386,35 @@ class TestBulkHandCheck:
         assert want[0] is ValidationError
         assert outcome(frame_from_obj, obj) == want
 
-    @pytest.mark.parametrize("mutate", [
-        lambda h: h["pts"][2].__setitem__(0, np.float64(0.25)),
-        lambda h: h["conf"].__setitem__(2, np.float32(0.5)),
-        lambda h: h["pts"][2].__setitem__(1, np.int64(1)),
-        lambda h: h["pts"].__setitem__(4, (0.5, 0.5)),
-        lambda h: h.__setitem__("pts", tuple(h["pts"])),
-        lambda h: h.__setitem__("conf", np.full(21, 0.5)),
+    @pytest.mark.parametrize("mutate, structural", [
+        (lambda h: h["pts"][2].__setitem__(0, np.float64(0.25)), False),
+        (lambda h: h["conf"].__setitem__(2, np.float32(0.5)), False),
+        (lambda h: h["pts"][2].__setitem__(1, np.int64(1)), False),
+        (lambda h: h["pts"].__setitem__(4, (0.5, 0.5)), False),
+        (lambda h: h.__setitem__("pts", tuple(h["pts"])), True),
+        (lambda h: h.__setitem__("conf", np.full(21, 0.5)), False),
     ], ids=["float64", "float32", "int64", "tuple-pair", "tuple-pts", "array-conf"])
-    def test_python_values_give_the_walkers_outcome(self, mutate):
+    def test_python_values_give_the_walkers_outcome(self, mutate, structural):
         obj = self.two_hands()
         mutate(obj["hands"][0])
-        assert bulk_values(obj) is None
+        if not structural:
+            assert bulk_values(obj)[0] is None
         assert outcome(frame_from_obj, obj) == outcome(walked, obj)
 
     @pytest.mark.parametrize("left_first", [False, True], ids=["right-first", "left-first"])
     def test_two_hands_view_one_read_only_array(self, left_first):
+        """Each hand views its own read-only array; no value is walked."""
         obj = self.two_hands()  # the left hand has no "conf"
         if left_first:
             obj["hands"].reverse()
-        with mock.patch.object(streams, "_hand_from_obj", autospec=True,
-                               side_effect=streams._hand_from_obj) as walker:
+        with mock.patch.object(streams, "_unit_number", side_effect=AssertionError):
             frame = frame_from_obj(obj)
-        assert walker.call_count == 0
-        arrays = [a for h in frame.hands for a in (h.points, h.confidences)]
-        owner = root(arrays[0])
-        assert owner.shape == (2 * 21 * 2 + 2 * 21,) and not owner.flags.writeable
-        assert all(root(a) is owner and not a.flags.writeable for a in arrays)
+        owners = [root(h.points) for h in frame.hands]
+        assert owners[0] is not owners[1]
+        for hand, owner in zip(frame.hands, owners):
+            assert owner.shape == (21 * 2 + 21,) and not owner.flags.writeable
+            assert root(hand.confidences) is owner
+            assert not hand.points.flags.writeable and not hand.confidences.flags.writeable
         assert [h.handedness for h in frame.hands] == [Handedness.RIGHT, Handedness.LEFT]
         assert frame.hands[1].confidences.tolist() == [1.0] * 21
         assert frame == constructed(obj)
@@ -384,7 +422,7 @@ class TestBulkHandCheck:
     def test_negative_t_frame_is_walked(self):
         obj = self.two_hands()
         obj["t"] = -1
-        assert bulk_values(obj) is not None  # its fields pass; the frame does not
+        assert all(arr is not None for arr in bulk_values(obj))  # the hands pass, the frame not
         with mock.patch.object(streams, "_hand_from_obj", autospec=True,
                                side_effect=streams._hand_from_obj) as walker:
             got = outcome(frame_from_obj, obj)
@@ -485,8 +523,8 @@ def read_outcome(lines):
 
 
 def walked_outcome(lines):
-    """The same with every frame sent through the walker."""
-    with mock.patch.object(streams, "_frame_fields", lambda *args: None):
+    """The same with every hand's values walked one by one."""
+    with mock.patch.object(streams, "_unit_values", lambda *args: None):
         return read_outcome(lines)
 
 
