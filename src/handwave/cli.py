@@ -37,7 +37,7 @@ from .evaluate import (
     format_report_table,
     report_to_obj,
 )
-from .model import Handedness, HandFrame
+from .model import FRAME_INTERVAL_MS, Handedness, HandFrame
 
 
 def _emit(obj) -> None:
@@ -122,7 +122,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_keypoints(args) -> int:
-    times = itertools.count(0, 40)
+    times = itertools.count(0, FRAME_INTERVAL_MS)
 
     def frame(obj) -> dict:  # validated here, so that a coordinate fault names its line
         record = detect._confidence_map_record(obj)
@@ -394,9 +394,13 @@ def main(argv=None) -> int:
     # Looked up at call time, so that whatever this module binds now runs.
     command = globals()["cmd_" + args.command]
     try:
-        return command(args)
+        # A value that overflows the arithmetic (or gives inf - inf, or x / 0)
+        # leaves a meaningless result, so it ends the command as bad input
+        # does. Underflow rounds toward zero and is left alone.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return command(args)
     # A MemoryError is an allocation that cannot succeed, as for synth --frames 10**15.
-    except (HandwaveError, OSError, MemoryError) as exc:
+    except (HandwaveError, OSError, MemoryError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,6 +28,10 @@ from .errors import ValidationError
 
 NUM_LANDMARKS = 21
 
+# Milliseconds between consecutive frames that handwave itself timestamps
+# (synthetic corpora and decoded keypoint streams): 25 frames a second.
+FRAME_INTERVAL_MS = 40
+
 WRIST = 0
 THUMB_CMC, THUMB_MCP, THUMB_IP, THUMB_TIP = 1, 2, 3, 4
 INDEX_MCP, INDEX_PIP, INDEX_DIP, INDEX_TIP = 5, 6, 7, 8

@@ -9,16 +9,15 @@ trained so same-subject embeddings sit closer than different-subject ones.
 The objective over a batch of (anchor, positive, negative) triplets is the
 hinged margin loss
 
-    L = reduce_i max(0, ||f(a_i) - f(p_i)||^2 - ||f(a_i) - f(n_i)||^2 + alpha)
+    L = mean_i max(0, ||f(a_i) - f(p_i)||^2 - ||f(a_i) - f(n_i)||^2 + alpha)
 
-reduced by the mean (the default) or the plain sum. All gradients here are
-exact analytic derivatives of that expression. Training runs the network once
-per batch and differentiates that same pass, with one evaluation of the hinge
-for both the loss and its gradient; adam_step applies the standard
-bias-corrected Adam update. Verification compares a probe embedding against a
-subject's enrolled anchor embeddings: the distance is the minimum over
-anchors, accepted iff it does not exceed the record's threshold. roc_sweep
-calibrates that threshold from genuine/impostor distance samples.
+All gradients here are exact analytic derivatives of that expression. Training
+runs the network once per batch and differentiates that same pass, with one
+evaluation of the hinge for both the loss and its gradient; adam_step applies
+the standard bias-corrected Adam update. Verification compares a probe
+embedding against a subject's enrolled anchor embeddings: the distance is the
+minimum over anchors, accepted iff it does not exceed the record's threshold.
+roc_sweep calibrates that threshold from genuine/impostor distance samples.
 """
 
 from __future__ import annotations
@@ -42,8 +41,6 @@ from .errors import (
 )
 
 NORMALIZE_EPS = 1e-12
-
-_REDUCTIONS = ("mean", "sum")
 
 
 def euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,38 +91,34 @@ def _triplet_batches(anchor, positive, negative) -> tuple[np.ndarray, np.ndarray
     return a, p, n
 
 
-def _triplet_terms(anchor, positive, negative, alpha: float,
-                   reduction: str) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _triplet_terms(anchor, positive, negative,
+                   alpha: float) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The loss and its three batch gradients, from one evaluation of the hinge."""
-    if reduction not in _REDUCTIONS:
-        raise ValidationError(f"reduction must be one of {_REDUCTIONS}, got {reduction!r}")
     a, p, n = _triplet_batches(anchor, positive, negative)
     margin = np.sum((a - p) ** 2, axis=1) - np.sum((a - n) ** 2, axis=1) + alpha
     per = np.maximum(0.0, margin)
-    loss = float(per.mean() if reduction == "mean" else per.sum())
+    loss = float(per.mean())
     scale = np.where(margin > 0.0, 2.0, 0.0)
-    if reduction == "mean":
-        scale = scale / a.shape[0]
+    scale = scale / a.shape[0]
     scale = scale[:, None]
     return loss, (scale * (n - p), scale * (p - a), scale * (a - n))
 
 
-def triplet_loss(anchor, positive, negative, alpha: float = 0.2,
-                 reduction: str = "mean") -> float:
-    """Hinged squared-distance margin loss over one or more triplets."""
-    return _triplet_terms(anchor, positive, negative, alpha, reduction)[0]
+def triplet_loss(anchor, positive, negative, alpha: float = 0.2) -> float:
+    """Hinged squared-distance margin loss, the mean over one or more triplets."""
+    return _triplet_terms(anchor, positive, negative, alpha)[0]
 
 
-def triplet_grad(anchor, positive, negative, alpha: float = 0.2,
-                 reduction: str = "mean") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def triplet_grad(anchor, positive, negative,
+                 alpha: float = 0.2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of triplet_loss with respect to the three embedding batches.
 
     For an active triplet (hinge > 0) the per-row derivatives are
-    2(n - p), 2(p - a), 2(a - n), scaled by 1/N under mean reduction;
+    2(n - p), 2(p - a), 2(a - n), scaled by 1/N for a batch of N;
     inactive rows contribute zero. Gradients follow the input shape: vector
     inputs get vector gradients, batches get batch gradients.
     """
-    grads = _triplet_terms(anchor, positive, negative, alpha, reduction)[1]
+    grads = _triplet_terms(anchor, positive, negative, alpha)[1]
     return tuple(g[0] for g in grads) if np.ndim(anchor) == 1 else grads
 
 
@@ -233,8 +226,7 @@ def encoder_forward(params: EncoderParams, x) -> np.ndarray:
 
 
 def encoder_backward(params: EncoderParams, anchors, positives, negatives,
-                     alpha: float = 0.2,
-                     reduction: str = "mean") -> tuple[dict[str, np.ndarray], float]:
+                     alpha: float = 0.2) -> tuple[dict[str, np.ndarray], float]:
     """Exact parameter gradients (and the loss) of triplet_loss o encoder_forward."""
     xa, xp, xn = _triplet_batches(anchors, positives, negatives)
     stacked = np.concatenate([xa, xp, xn], axis=0)
@@ -244,7 +236,7 @@ def encoder_backward(params: EncoderParams, anchors, positives, negatives,
     embedded = lin if safe is None else lin / safe
     count = xa.shape[0]
     loss, grads = _triplet_terms(embedded[:count], embedded[count:2 * count],
-                                 embedded[2 * count:], alpha, reduction)
+                                 embedded[2 * count:], alpha)
     grad_lin = grad_out = np.concatenate(grads, axis=0)
     if safe is not None:
         # d(e/||e||)/de = I/||e|| - e e^T / ||e||^3; below the floor the map
@@ -398,9 +390,9 @@ def mine_triplets(features: Mapping[str, np.ndarray], count: int,
 def train(features: Mapping[str, np.ndarray], *,
           embed_dim: int = 32, hidden_dim: int = 64,
           epochs: int = 100, alpha: float = 0.2,
-          lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+          lr: float = 1e-3,
           triplets_per_epoch: int = 128, batch_size: int = 32,
-          normalize: bool = True, reduction: str = "mean",
+          normalize: bool = True,
           seed: int = 0) -> tuple[EncoderParams, list[float]]:
     """Fit the encoder by mined-triplet descent; returns (params, per-epoch mean loss).
 
@@ -432,7 +424,7 @@ def train(features: Mapping[str, np.ndarray], *,
     rng = np.random.default_rng(seed)
     input_dim = next(iter(data.values())).shape[1]
     params = init_encoder(input_dim, hidden_dim, embed_dim, seed=rng, normalize=normalize)
-    state = AdamState.initial(params.as_dict(), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    state = AdamState.initial(params.as_dict(), lr=lr)
     curve: list[float] = []
     for _ in range(epochs):
         triplets = mine_triplets(data, triplets_per_epoch, rng)
@@ -444,13 +436,12 @@ def train(features: Mapping[str, np.ndarray], *,
             stop = start + batch_size
             grads, loss = encoder_backward(
                 params, xa[start:stop], xp[start:stop], xn[start:stop],
-                alpha=alpha, reduction=reduction)
+                alpha=alpha)
             weight = min(stop, len(triplets)) - start
-            loss_sum += loss * (weight if reduction == "mean" else 1.0)
+            loss_sum += loss * weight
             arrays, state = adam_step(params.as_dict(), grads, state)
             params = params.with_arrays(arrays)
-        denom = len(triplets) if reduction == "mean" else 1.0
-        curve.append(loss_sum / denom)
+        curve.append(loss_sum / len(triplets))
     return params, curve
 
 

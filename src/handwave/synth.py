@@ -26,6 +26,7 @@ from .model import (
     THUMB_MCP,
     THUMB_TIP,
     WRIST,
+    FRAME_INTERVAL_MS,
     NUM_LANDMARKS,
     DoublePattern,
     HandFrame,
@@ -61,24 +62,21 @@ def hand_template(posture: PostureArray,
     """A clean landmark set realizing the given posture array.
 
     Raises SynthError if the built geometry does not read back as the
-    requested posture under ``params`` (possible with extreme thresholds).
-    A template is immutable, so each one built from a PostureArray, a
-    Handedness and a FingerStateParams is built once and then shared; a
-    failure is not kept, and raises again on every call. A side given as
-    "R" or "L" is the Handedness it serializes as.
+    requested posture under ``params`` (possible with extreme thresholds),
+    and ValidationError if ``posture`` is not a PostureArray. A template is
+    immutable, so each one is built once per posture, side and params and
+    then shared; a failure is not kept, and raises again on every call. A
+    side given as "R" or "L" is the Handedness it serializes as.
     """
     handedness = as_handedness(handedness)
-    key = None
-    if type(posture) is PostureArray and type(params) is FingerStateParams:
-        # Equal postures can spell a bit as 1 or 1.0; the geometry and the
-        # read-back test depend only on which bits are open.
-        key = (tuple(map(bool, posture)), handedness, params)
-        if key in _TEMPLATES:
-            return _TEMPLATES[key]
-    lms = _build_template(posture, handedness, params)
-    if key is not None:
-        _TEMPLATES[key] = lms
-    return lms
+    if not isinstance(posture, PostureArray):
+        raise ValidationError(f"posture: expected a PostureArray, got {type(posture).__name__}")
+    # Equal postures can spell a bit as 1 or 1.0; the geometry and the
+    # read-back test depend only on which bits are open.
+    key = (tuple(map(bool, posture)), handedness, params)
+    if key not in _TEMPLATES:
+        _TEMPLATES[key] = _build_template(posture, handedness, params)
+    return _TEMPLATES[key]
 
 
 def _build_template(posture: PostureArray, handedness: Handedness,
@@ -126,7 +124,6 @@ class SynthSpec:
     frames_per_gesture: int = 150
     jitter_sigma: float = 0.01
     seed: int = 0
-    frame_interval_ms: int = 40
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gestures", tuple(self.gestures))
@@ -143,8 +140,6 @@ class SynthSpec:
             raise ValidationError("synth: jitter_sigma must be non-negative")
         if self.seed < 0:
             raise ValidationError(f"synth: seed must be non-negative, got {self.seed}")
-        if self.frame_interval_ms < 1:
-            raise ValidationError("synth: frame_interval_ms must be positive")
 
     @classmethod
     def from_registry(cls, registry: GestureRegistry, **kwargs) -> "SynthSpec":
@@ -156,7 +151,7 @@ def synth_corpus(spec: SynthSpec,
     """Generate the labelled corpus: every gesture in order, frames back to back.
 
     Single-handed gestures get one right hand; double-handed ones a right and
-    a left hand posed per side. Timestamps advance by ``frame_interval_ms``.
+    a left hand posed per side. Timestamps advance by ``FRAME_INTERVAL_MS``.
     """
     rng = np.random.default_rng(spec.seed)
     frames = spec.frames_per_gesture
@@ -182,5 +177,5 @@ def synth_corpus(spec: SynthSpec,
             hands = tuple(LandmarkSet._checked(noisy[f, h], base.handedness, confidences[f, h])
                           for h, base in enumerate(bases))
             pairs.append((HandFrame(t_ms=t, hands=hands), name))
-            t += spec.frame_interval_ms
+            t += FRAME_INTERVAL_MS
     return pairs

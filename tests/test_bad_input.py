@@ -188,6 +188,9 @@ def _first_point(pair):
 
 
 NO_PAIRS = "error: roc_sweep: need non-empty genuine and impostor distance vectors"
+OVERFLOW = "error: overflow encountered in "
+# Two subjects of two rows each, the first value of the first row too large to square.
+BIG_FEATURES = _features("s0", "s0", "s1", "s1").replace(b"0.1", b"1e308", 1)
 
 
 # (id, command, file replaced, its bytes, a fragment the error message holds);
@@ -426,6 +429,19 @@ BAD_INPUTS = [
      json.dumps([{"name": "Both", "pattern": {"double": {"R": [0, 0, 0, 0, 0]}},
                  "hold_frames": 5}]).encode(),
      "error: registry[0].pattern.double: expected 'R' and 'L' postures\n"),
+    # A finite value that overflows the arithmetic ends the command.
+    ("train-feature-overflow", "train", "data.jsonl", BIG_FEATURES, OVERFLOW),
+    ("roc-feature-overflow", "roc", "data.jsonl", BIG_FEATURES, OVERFLOW),
+    ("enroll-feature-overflow", "enroll", "data.jsonl", BIG_FEATURES, OVERFLOW),
+    ("probe-feature-overflow", "verify", "probe.json", b'{"features": [1e308, 1, 2, 3]}',
+     OVERFLOW),
+    ("roc-params-overflow", "roc", "params.json", _with(PARAMS, w2=[[1e200] * 4] * 2), OVERFLOW),
+    ("enroll-params-overflow", "enroll", "params.json", _with(PARAMS, w2=[[1e200] * 4] * 2),
+     OVERFLOW),
+    ("train-alpha-overflow", "train", "--alpha", "1e308", OVERFLOW),
+    # Its first overflow may be inside a BLAS matmul, which not every numpy
+    # version reports, so only the prefix is pinned.
+    ("train-lr-overflow", "train", "--lr", "1e300", "error: "),
 ]
 # eval --events reads its files as eval does, and fails alike but for its own
 # empty-stream text.
@@ -452,21 +468,21 @@ def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
 
 
 # Adam hyperparameters reach only the Python API. Each row names the entry
-# point (train, AdamState.initial or a hand-built state), its bad keyword
-# arguments and the first error; train still checks lr before the rest.
+# point (AdamState.initial or a hand-built state), its bad keyword arguments
+# and the first error.
 BAD_ADAM = [
-    ("beta1-one", "train", {"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
-    ("beta2-one", "train", {"beta2": 1.0}, "beta2 must lie in [0, 1), got 1.0"),
-    ("beta1-two", "train", {"beta1": 2.0}, "beta1 must lie in [0, 1), got 2.0"),
-    ("beta2-negative", "train", {"beta2": -0.5}, "beta2 must lie in [0, 1), got -0.5"),
+    ("beta1-one", "initial", {"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
+    ("beta2-one", "initial", {"beta2": 1.0}, "beta2 must lie in [0, 1), got 1.0"),
+    ("beta1-two", "initial", {"beta1": 2.0}, "beta1 must lie in [0, 1), got 2.0"),
+    ("beta2-negative", "initial", {"beta2": -0.5}, "beta2 must lie in [0, 1), got -0.5"),
     ("beta1-nan", "initial", {"beta1": float("nan")}, "beta1 must lie in [0, 1), got nan"),
-    ("eps-negative", "train", {"eps": -1.0}, "eps must be positive and finite, got -1.0"),
+    ("eps-negative", "initial", {"eps": -1.0}, "eps must be positive and finite, got -1.0"),
     ("eps-zero", "initial", {"eps": 0.0}, "eps must be positive and finite, got 0.0"),
     ("eps-inf", "state", {"eps": float("inf")}, "eps must be positive and finite, got inf"),
     ("beta2-one-by-hand", "state", {"beta2": 1.0}, "beta2 must lie in [0, 1), got 1.0"),
     ("betas-then-eps", "state", {"beta1": 1.5, "beta2": 1.5, "eps": -1.0},
      "beta1 must lie in [0, 1), got 1.5"),
-    ("lr-before-betas", "train", {"lr": 0.0, "beta1": 1.0, "eps": -1.0},
+    ("lr-before-betas", "initial", {"lr": 0.0, "beta1": 1.0, "eps": -1.0},
      "lr must be positive and finite, got 0.0"),
     ("lr-nan-initial", "initial", {"lr": float("nan")}, "lr must be positive and finite, got nan"),
     ("lr-inf-initial", "initial", {"lr": float("inf")}, "lr must be positive and finite, got inf"),
@@ -476,7 +492,7 @@ BAD_ADAM = [
      "lr must be positive and finite, got nan"),
     ("lr-string-by-hand", "state", {"lr": "0.1"}, "lr must be a real number, got '0.1'"),
     ("beta1-string", "initial", {"beta1": "0.9"}, "beta1 must be a real number, got '0.9'"),
-    ("beta2-string", "train", {"beta2": "0.999"}, "beta2 must be a real number, got '0.999'"),
+    ("beta2-string", "initial", {"beta2": "0.999"}, "beta2 must be a real number, got '0.999'"),
     ("eps-none", "state", {"eps": None}, "eps must be a real number, got None"),
 ]
 
@@ -485,9 +501,7 @@ BAD_ADAM = [
                          ids=[case[0] for case in BAD_ADAM])
 def test_bad_adam_hyperparameters_are_errors(entry, kwargs, message):
     params = {"w": np.zeros((2, 3))}
-    features = {f"s{i}": np.full((2, 3), float(i)) for i in range(2)}
-    call = {"train": lambda: train(features, epochs=1, **kwargs),
-            "initial": lambda: AdamState.initial(params, **kwargs),
+    call = {"initial": lambda: AdamState.initial(params, **kwargs),
             "state": lambda: AdamState(m=params, v=params, **kwargs)}[entry]
     with pytest.raises(ValidationError) as info:
         call()

@@ -23,7 +23,6 @@ from handwave import (
     EnrollmentRecord,
     NumericsError,
     RocPoint,
-    ValidationError,
     adam_step,
     encoder_backward,
     encoder_forward,
@@ -162,13 +161,6 @@ class TestTripletLoss:
         loss = triplet_loss(anchors, positives, negatives, alpha=0.2)
         assert loss == pytest.approx(0.1, abs=1e-15)
 
-    def test_sum_reduction(self):
-        anchors = np.zeros((3, 2))
-        positives = np.zeros((3, 2))
-        negatives = np.zeros((3, 2))
-        assert triplet_loss(anchors, positives, negatives, alpha=0.2,
-                            reduction="sum") == pytest.approx(0.6, abs=1e-15)
-
     def test_loss_never_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -217,7 +209,7 @@ class TestTripletGrad:
             checked += 1
 
     def test_batch_mean_scaling(self):
-        # duplicating a triplet leaves the mean-reduction gradient unchanged
+        # duplicating a triplet leaves the batch-mean gradient unchanged
         a = np.array([[0.0, 0.0]])
         p = np.array([[0.0, 2.0]])
         n = np.array([[0.0, 1.0]])
@@ -284,13 +276,13 @@ class TestEncoderForward:
         assert not np.array_equal(a.w1, c.w1)
 
 
-def fd_encoder_gradient(params, anchors, positives, negatives, alpha, reduction):
+def fd_encoder_gradient(params, anchors, positives, negatives, alpha):
     """Central finite differences through the full loss pipeline."""
     def loss_at(p):
         ea = encoder_forward(p, anchors)
         ep = encoder_forward(p, positives)
         en = encoder_forward(p, negatives)
-        return triplet_loss(ea, ep, en, alpha=alpha, reduction=reduction)
+        return triplet_loss(ea, ep, en, alpha=alpha)
 
     grads = {}
     for key, value in params.as_dict().items():
@@ -336,18 +328,16 @@ def well_conditioned_case(rng, n_triplets, d_in, d_h, d_out, normalize, alpha):
 
 class TestEncoderBackward:
     @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    def test_matches_finite_differences(self, normalize, reduction):
-        rng = np.random.default_rng(11 + normalize + 2 * (reduction == "sum"))
+    def test_matches_finite_differences(self, normalize):
+        rng = np.random.default_rng(11 + normalize)
         for _ in range(3):
             alpha = float(rng.uniform(0.1, 0.5))
             params, a, p, n = well_conditioned_case(
                 rng, n_triplets=2, d_in=4, d_h=3, d_out=2,
                 normalize=normalize, alpha=alpha)
-            grads, loss = encoder_backward(params, a, p, n, alpha=alpha,
-                                           reduction=reduction)
+            grads, loss = encoder_backward(params, a, p, n, alpha=alpha)
             assert loss > 0
-            numeric = fd_encoder_gradient(params, a, p, n, alpha, reduction)
+            numeric = fd_encoder_gradient(params, a, p, n, alpha)
             for key in ("w1", "b1", "w2", "b2"):
                 assert rel_error(grads[key], numeric[key]) <= FD_TOL, key
 
@@ -689,7 +679,7 @@ class TestVerifyAsVector:
             assert np.sqrt(np.sum(raw * raw)) < NORMALIZE_EPS
 
 
-def oracle_backward(params, anchors, positives, negatives, alpha, reduction):
+def oracle_backward(params, anchors, positives, negatives, alpha):
     """encoder_backward as first written: an embedding pass, separate loss and
     gradient hinges, then a second pass through out-of-place layers."""
     count = anchors.shape[0]
@@ -697,11 +687,10 @@ def oracle_backward(params, anchors, positives, negatives, alpha, reduction):
     e = oracle_forward(params, x)
     ea, ep, en = e[:count], e[count:2 * count], e[2 * count:]
     per = np.maximum(0.0, np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + alpha)
-    loss = float(per.mean() if reduction == "mean" else per.sum())
+    loss = float(per.mean())
     active = (np.sum((ea - ep) ** 2, axis=1) - np.sum((ea - en) ** 2, axis=1) + alpha) > 0.0
     scale = np.where(active, 2.0, 0.0)
-    if reduction == "mean":
-        scale = scale / count
+    scale = scale / count
     scale = scale[:, None]
     grad_out = np.concatenate([scale * (en - ep), scale * (ep - ea), scale * (ea - en)])
     pre = x @ params.w1.T + params.b1
@@ -724,11 +713,10 @@ class TestEncoderBackwardOracle:
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
            count=st.integers(1, 33), normalize=st.booleans(),
-           reduction=st.sampled_from(["mean", "sum"]),
            weights=st.sampled_from(["uniform", "large", "tiny", "dead_relu"]),
            tied=st.booleans(), alpha=st.one_of(st.just(0.0), st.floats(-0.5, 1.0)),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_the_two_pass_formulas_bit_for_bit(self, dims, count, normalize, reduction,
+    def test_matches_the_two_pass_formulas_bit_for_bit(self, dims, count, normalize,
                                                        weights, tied, alpha, seed):
         input_dim, hidden_dim, embed_dim = dims
         rng = np.random.default_rng(seed)
@@ -741,8 +729,8 @@ class TestEncoderBackwardOracle:
         if tied:  # with alpha 0 every hinge sits exactly on its kink
             n = p.copy()
 
-        grads, loss = encoder_backward(params, a, p, n, alpha=alpha, reduction=reduction)
-        want, want_loss, lin = oracle_backward(params, a, p, n, alpha, reduction)
+        grads, loss = encoder_backward(params, a, p, n, alpha=alpha)
+        want, want_loss, lin = oracle_backward(params, a, p, n, alpha)
         assert float_bits(loss) == float_bits(want_loss)
         assert type(loss) is float
         assert grads.keys() == want.keys()
@@ -756,26 +744,18 @@ class TestEncoderBackwardOracle:
 
 
 class TestErrorOrder:
-    """Which error wins when the shapes and the reduction are both bad."""
-
-    @pytest.mark.parametrize("fn", [triplet_loss, triplet_grad])
-    def test_hinge_checks_reduction_before_shapes(self, fn):
-        with pytest.raises(ValidationError,
-                           match=re.escape("reduction must be one of ('mean', 'sum'), got 'bogus'")):
-            fn(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)), reduction="bogus")
+    """The error encoder_backward raises for each malformed batch."""
 
     @pytest.mark.parametrize("rows, width, error, message", [
         ((2, 3, 2), 3, DimensionError, "triplet shapes disagree: (2, 3), (3, 3), (2, 3)"),
         ((0, 0, 0), 3, EmptyBatchError, "triplet batch is empty"),
         ((2, 2, 2), 5, DimensionError, "features: expected inner dimension 3, got shape (6, 5)"),
-        ((2, 2, 2), 3, ValidationError,
-         "reduction must be one of ('mean', 'sum'), got 'bogus'"),
-    ], ids=["shapes", "empty", "inner-dimension", "reduction"])
+    ], ids=["shapes", "empty", "inner-dimension"])
     def test_encoder_backward_checks_reduction_last(self, rows, width, error, message):
         params = init_encoder(3, 4, 2, seed=1)
         batches = [np.ones((r, width)) for r in rows]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
-            encoder_backward(params, *batches, reduction="bogus")
+            encoder_backward(params, *batches)
 
 
 class TestRoc:

@@ -24,7 +24,7 @@ from handwave import (
     write_labelled,
 )
 from handwave import synth
-from handwave.model import INDEX_MCP, INDEX_TIP, THUMB_MCP, THUMB_TIP
+from handwave.model import FRAME_INTERVAL_MS, INDEX_MCP, INDEX_TIP, THUMB_MCP, THUMB_TIP
 
 
 class TestHandTemplate:
@@ -101,8 +101,13 @@ class TestHandTemplate:
 
     def test_non_posture_arguments_are_not_shared(self):
         hand_template(PostureArray.of(0, 1, 0, 0, 0))
-        with pytest.raises(SynthError):  # a list never equals the PostureArray it reads back as
+        with pytest.raises(ValidationError,
+                           match=r"^posture: expected a PostureArray, got list$"):
             hand_template([0, 1, 0, 0, 0])
+        both = DoublePattern(right=PostureArray.of(0, 1, 0, 0, 0), left=[0, 1, 0, 0, 0])
+        with pytest.raises(ValidationError,
+                           match=r"^posture: expected a PostureArray, got list$"):
+            synth_corpus(SynthSpec(gestures=(("Both", both),), frames_per_gesture=1))
 
     def test_side_spelled_as_a_string_is_that_side(self, monkeypatch):
         monkeypatch.setattr(synth, "_TEMPLATES", {})
@@ -130,7 +135,6 @@ class TestSynthSpec:
         {"gestures": (("x", "not-a-pattern"),)},
         {"gestures": (("x", PostureArray.of(1, 1, 1, 1, 1)),), "frames_per_gesture": 0},
         {"gestures": (("x", PostureArray.of(1, 1, 1, 1, 1)),), "jitter_sigma": -0.1},
-        {"gestures": (("x", PostureArray.of(1, 1, 1, 1, 1)),), "frame_interval_ms": 0},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -212,7 +216,7 @@ def per_frame_corpus(spec):
                 np.clip(noisy, 0.0, 1.0, out=noisy)
                 hands.append(LandmarkSet(points=noisy, handedness=base.handedness))
             pairs.append((HandFrame(t_ms=t, hands=tuple(hands)), name))
-            t += spec.frame_interval_ms
+            t += FRAME_INTERVAL_MS
     return pairs
 
 
