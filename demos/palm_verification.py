@@ -9,7 +9,8 @@ accept threshold at the equal-error point, and verify held-out probes.
 
 import numpy as np
 
-from handwave import encoder_forward, enroll, euclidean_distance, roc_sweep, train, verify
+from handwave import encoder_forward, enroll, roc_sweep, train, verify
+from handwave.palmauth import pairwise_distances
 
 rng = np.random.default_rng(7)
 dim, per_subject = 12, 16
@@ -24,19 +25,12 @@ holdout = {s: v[10:] for s, v in subjects.items()}
 params, curve = train(train_split, embed_dim=8, hidden_dim=24, epochs=60, seed=1)
 print(f"triplet loss per epoch: {curve[0]:.4f} -> {curve[-1]:.4f}")
 
-# Collect genuine and impostor distances on the training split.
-embedded = {s: encoder_forward(params, v) for s, v in train_split.items()}
-genuine, impostor = [], []
-for s, rows in embedded.items():
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            genuine.append(euclidean_distance(rows[i], rows[j]))
-    for t, other in embedded.items():
-        if t <= s:
-            continue
-        for a in rows:
-            for b in other:
-                impostor.append(euclidean_distance(a, b))
+# Every genuine and impostor pair of the training split once.
+embedded = [encoder_forward(params, v) for v in train_split.values()]
+genuine = np.concatenate([pairwise_distances(e, e)[np.triu_indices(len(e), 1)]
+                          for e in embedded])
+impostor = np.concatenate([pairwise_distances(e, f).ravel()
+                           for i, e in enumerate(embedded) for f in embedded[i + 1:]])
 
 sweep = roc_sweep(genuine, impostor)
 print(f"EER {sweep.eer:.4f} at threshold {sweep.eer_threshold:.4f} "

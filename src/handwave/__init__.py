@@ -68,15 +68,11 @@ from .gestures import (
     GestureEngine,
     GestureRegistry,
     classify,
-    cursor_point,
     default_registry,
-    finger_state,
     focal_point,
-    frame_arrays,
     load_registry,
     posture_array,
     save_registry,
-    thumb_state,
 )
 from .palmauth import (
     AdamState,
@@ -90,7 +86,6 @@ from .palmauth import (
     encoder_backward,
     encoder_forward,
     enroll,
-    error_rates,
     euclidean_distance,
     init_encoder,
     load_features,
@@ -107,7 +102,6 @@ from .palmauth import (
     verify,
 )
 from .control import (
-    DEFAULT_CONTROLLER,
     Axis,
     ControllerConfig,
     DeviceCommand,
@@ -139,16 +133,15 @@ __all__ = [
     "AnchorConfig", "BBox", "LayerSpec", "RawPrediction", "decode_box",
     "decode_keypoints", "generate_anchors", "iou", "nms",
     "DEFAULT_FINGER_PARAMS", "FingerStateParams", "GestureEngine",
-    "GestureRegistry", "classify", "cursor_point", "default_registry",
-    "finger_state", "focal_point", "frame_arrays", "load_registry",
-    "posture_array", "save_registry", "thumb_state",
+    "GestureRegistry", "classify", "default_registry", "focal_point",
+    "load_registry", "posture_array", "save_registry",
     "AdamState", "AuthDecision", "EncoderParams", "EnrollmentRecord",
     "RocPoint", "RocSweep", "Triplet", "adam_step", "encoder_backward",
-    "encoder_forward", "enroll", "error_rates", "euclidean_distance",
+    "encoder_forward", "enroll", "euclidean_distance",
     "init_encoder", "load_features", "load_params", "load_store",
     "mine_triplets", "roc_sweep", "save_features", "save_params",
     "save_store", "train", "triplet_grad", "triplet_loss", "verify",
-    "DEFAULT_CONTROLLER", "Axis", "ControllerConfig", "DeviceCommand",
+    "Axis", "ControllerConfig", "DeviceCommand",
     "MotorCommand", "Transport", "centering_step", "decode_wire",
     "encode_wire", "map_gesture", "open_transport",
     "SynthSpec", "hand_template", "synth_corpus",

@@ -59,9 +59,6 @@ class ControllerConfig:
                 f"max_steps must be an integer in [1, {_WIRE_MAX_STEPS}], got {self.max_steps}")
 
 
-DEFAULT_CONTROLLER = ControllerConfig()
-
-
 @dataclass(frozen=True)
 class MotorCommand:
     """A relative motor move: signed step count on one axis (never zero)."""
@@ -101,7 +98,7 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
 
 
-def centering_step(focal: Point2, cfg: ControllerConfig = DEFAULT_CONTROLLER) -> list[MotorCommand]:
+def centering_step(focal: Point2, cfg: ControllerConfig = ControllerConfig()) -> list[MotorCommand]:
     """Commands that move the focal point toward frame center, X before Y.
 
     Per axis: no command inside the deadzone; otherwise

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -27,7 +27,6 @@ from typing import Any, Iterator, Mapping
 from ._jsonio import _loads, number, read_json
 from .errors import StreamOrderError, ValidationError
 from .model import (
-    FINGERS,
     MCP,
     TIP,
     THUMB_MCP,
@@ -103,26 +102,6 @@ def _slot(posture: object) -> int:
     return thumb << 4 | index << 3 | middle << 2 | ring << 1 | pinky
 
 
-def finger_state(lms: LandmarkSet, finger: str) -> int:
-    """1 if the finger's tip is strictly above its MCP joint, else 0.
-
-    ``finger`` is one of "index", "middle", "ring", "pinky"; the thumb has its
-    own rule (see thumb_state).
-    """
-    if finger not in _BEND_FINGERS:
-        raise ValueError(f"finger must be one of {_BEND_FINGERS}, got {finger!r}")
-    return posture_array(lms)[FINGERS.index(finger)]
-
-
-def thumb_state(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> int:
-    """1 if the thumb tip is laterally displaced from its MCP with a shallow slope.
-
-    Open requires |tip.x - mcp.x| >= thumb_min_dx and |dy / dx| <= thumb_slope_max;
-    anything else (including a near-vertical thumb) is folded.
-    """
-    return posture_array(lms, params)[0]
-
-
 def posture_array(lms: LandmarkSet, params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> PostureArray:
     """The five finger bits for one hand, thumb first."""
     code = _hand_code(lms.points.tolist(), params)
@@ -133,11 +112,6 @@ def _cursor(pts) -> tuple[float, float]:
     """The thumb-tip/index-tip midpoint of 21 (x, y) rows, as two floats."""
     (thumb_x, thumb_y), (index_x, index_y) = pts[THUMB_TIP], pts[INDEX_TIP]
     return (thumb_x + index_x) / 2.0, (thumb_y + index_y) / 2.0
-
-
-def cursor_point(lms: LandmarkSet) -> Point2:
-    """The midpoint between thumb tip and index tip — the pointing cursor."""
-    return Point2(*_cursor(lms.points.tolist()))
 
 
 def focal_point(lms: LandmarkSet) -> Point2:
@@ -205,17 +179,11 @@ def classify(arrays: Mapping[Handedness, PostureArray], registry: GestureRegistr
 
 def _classify_frame(frame: HandFrame, registry: GestureRegistry,
                     params: FingerStateParams) -> str | None:
-    """classify(frame_arrays(frame, params), registry) without the posture objects."""
+    """classify over each hand's posture_array, without building the posture objects."""
     slots = [_ABSENT, _ABSENT]
     for hand in frame.hands:
         slots[hand.handedness is Handedness.LEFT] = _hand_code(hand.points.tolist(), params)
     return registry._table[slots[0] * _SLOTS + slots[1]]
-
-
-def frame_arrays(frame: HandFrame,
-                 params: FingerStateParams = DEFAULT_FINGER_PARAMS) -> dict[Handedness, PostureArray]:
-    """Posture arrays for every hand in the frame, keyed by handedness."""
-    return {h.handedness: posture_array(h, params) for h in frame.hands}
 
 
 @dataclass
@@ -268,7 +236,7 @@ class GestureEngine:
             if i == 0:  # canonical order puts the right hand first
                 x, y = _cursor(pts)
                 if not (math.isfinite(x) and math.isfinite(y)):
-                    Point2(x, y)  # raises the error cursor_point would
+                    Point2(x, y)  # raises Point2's non-finite error
                 state.last_cursor = x, y
 
         name = self.registry._table[right * _SLOTS + left]

@@ -180,12 +180,6 @@ class HandFrame:
         object.__setattr__(self, "hands", hands)
         return self
 
-    def hand(self, handedness: Handedness) -> LandmarkSet | None:
-        for h in self.hands:
-            if h.handedness is handedness:
-                return h
-        return None
-
 
 @dataclass(frozen=True)
 class PostureArray:

@@ -161,10 +161,6 @@ class EncoderParams:
         return self.w1.shape[1]
 
     @property
-    def hidden_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def embed_dim(self) -> int:
         return self.w2.shape[0]
 
@@ -566,17 +562,6 @@ class RocSweep:
     eer: float
     best_accuracy_threshold: float
     best_accuracy: float
-
-
-def error_rates(genuine, impostor, threshold: float) -> tuple[float, float]:
-    """(FAR, FRR) at one threshold: impostors accepted, genuines rejected."""
-    g = np.asarray(genuine, dtype=np.float64)
-    im = np.asarray(impostor, dtype=np.float64)
-    if g.ndim != 1 or im.ndim != 1 or g.shape[0] == 0 or im.shape[0] == 0:
-        raise DataError("error_rates: need non-empty genuine and impostor distance vectors")
-    far = float(np.count_nonzero(im <= threshold)) / im.shape[0]
-    frr = float(np.count_nonzero(g > threshold)) / g.shape[0]
-    return far, frr
 
 
 def roc_sweep(genuine, impostor) -> RocSweep:

@@ -46,7 +46,6 @@ from handwave import (
     enroll,
     evaluate,
     format_row_cells,
-    frame_arrays,
     generate_anchors,
     hand_template,
     init_encoder,

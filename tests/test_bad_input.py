@@ -115,12 +115,13 @@ COMMANDS = {
 }
 
 
-def argv_for(root, command, replace=None, path=None):
-    """The command's argv over ``root``, with file ``replace`` read from ``path``."""
+def argv_for(root, command, paths=None):
+    """The command's argv over ``root``, with each file named in ``paths`` at its path there."""
+    paths = paths or {}
     argv = command.split()
     for arg in COMMANDS[command]:
-        if arg == replace:
-            argv.append(path)
+        if arg in paths:
+            argv.append(paths[arg])
         elif arg.endswith((".json", ".jsonl")):
             argv.append(root / arg)
         elif arg.startswith("serial:"):
@@ -423,6 +424,23 @@ BAD_INPUTS = [
      "error: line 1: anchors: expected an object\n"),
     ("region-three-values", "keypoints", "maps.jsonl", _with(MAPS, region=[0.5, 0.5, 0.4]),
      "error: line 1: region must be [cx, cy, w, h]\n"),
+    ("region-negative-width", "keypoints", "maps.jsonl", _with(MAPS, region=[0.5, 0.5, -1, 0.5]),
+     "error: line 1: box: width/height must be positive, got (-1.0, 0.5)\n"),
+    # The anchor layout's own checks, reached from a prediction line.
+    ("anchors-grid-zero", "decode", "preds.jsonl", _preds(grid_w=0),
+     "error: line 1: layer: grid must be at least 1x1, got 0x1\n"),
+    ("anchors-scales-empty", "decode", "preds.jsonl", _preds(scales=[]),
+     "error: line 1: layer: scales and aspect_ratios must be non-empty\n"),
+    ("anchors-scale-negative", "decode", "preds.jsonl", _preds(scales=[-1]),
+     "error: line 1: layer: scales must be positive and finite\n"),
+    ("anchors-ratio-zero", "decode", "preds.jsonl", _preds(aspect_ratios=[0]),
+     "error: line 1: layer: aspect_ratios must be positive and finite\n"),
+    ("anchors-center-variance-zero", "decode", "preds.jsonl",
+     _with(PREDS, anchors_cfg={**ANCHORS, "center_variance": 0}),
+     "error: line 1: anchors: center_variance must be positive, got 0.0\n"),
+    ("anchors-size-variance-negative", "decode", "preds.jsonl",
+     _with(PREDS, anchors_cfg={**ANCHORS, "size_variance": -1}),
+     "error: line 1: anchors: size_variance must be positive, got -1.0\n"),
     ("registry-entry-number", "replay", "registry.json", b"[5]",
      "error: registry[0]: expected an object\n"),
     ("registry-double-no-left", "replay", "registry.json",
@@ -460,7 +478,7 @@ def test_bad_input_is_an_error(inputs, tmp_path, command, name, data, message):
     else:
         path = tmp_path / name
         path.write_bytes(data)
-        argv = argv_for(inputs, command, name, path)
+        argv = argv_for(inputs, command, {name: path})
     code, _, err = run_main(*argv)
     assert code == 1
     assert err.startswith(message), err
@@ -581,7 +599,7 @@ MIXED_REPORT = (
 def test_eval_reads_hands_in_any_order(inputs, tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in MIXED_CORPUS))
-    assert run_main(*argv_for(inputs, "eval", "corpus.jsonl", path)) == (0, MIXED_REPORT, "")
+    assert run_main(*argv_for(inputs, "eval", {"corpus.jsonl": path})) == (0, MIXED_REPORT, "")
 
 
 @pytest.mark.parametrize("subjects, message", [
@@ -618,7 +636,7 @@ def test_paths_and_line_iterables_read_alike(tmp_path, reader, text, error, mess
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.floats() | st.text(max_size=4)
-    | st.integers() | st.sampled_from([0, 1, -1, 2, 21, 10**400]),
+    | st.integers() | st.sampled_from([0, 1, -1, 2, 21, 10**400, 1e308, -1e308, 5e-324, 2**63]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
@@ -669,7 +687,12 @@ FUZZED = {
     "keypoints": ["maps.jsonl"],
     "verify": ["store.json", "probe.json", "params.json"],
     "roc": ["data.jsonl", "params.json"],
+    "track": ["frames.jsonl", "config.json"],
+    "train": ["data.jsonl"],
+    "enroll": ["data.jsonl", "params.json"],
 }
+# The file each fuzzed command writes, kept out of the shared inputs.
+WRITTEN = {"train": "trained.json", "enroll": "enrolled.json"}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZED))
@@ -684,9 +707,12 @@ def test_mutated_inputs_never_traceback(inputs, tmp_path, command, data):
         mutated = data.draw(structural_edit(original.decode("ascii"), name.endswith(".jsonl")))
     else:
         mutated = data.draw(byte_edit(original))
-    path = tmp_path / name
-    path.write_bytes(mutated)
-    code, _, err = run_main(*argv_for(inputs, command, name, path))
+    paths = {name: tmp_path / name}
+    paths[name].write_bytes(mutated)
+    if command in WRITTEN:
+        paths[WRITTEN[command]] = tmp_path / WRITTEN[command]
+        paths[WRITTEN[command]].unlink(missing_ok=True)  # each example writes afresh
+    code, _, err = run_main(*argv_for(inputs, command, paths))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:

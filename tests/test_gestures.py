@@ -23,15 +23,11 @@ from handwave import (
     StreamOrderError,
     ValidationError,
     classify,
-    cursor_point,
     default_registry,
-    finger_state,
     focal_point,
-    frame_arrays,
     load_registry,
     posture_array,
     save_registry,
-    thumb_state,
 )
 from handwave.gestures import _classify_frame, registry_to_obj
 from handwave.model import INDEX_MCP, INDEX_TIP, MCP, MIDDLE_MCP, THUMB_MCP, THUMB_TIP, TIP
@@ -63,54 +59,49 @@ def small_registry():
 class TestFingerState:
     def test_tip_above_mcp_is_open(self):
         lms = hand_with({INDEX_MCP: (0.5, 0.60), INDEX_TIP: (0.5, 0.40)})
-        assert finger_state(lms, "index") == 1
+        assert posture_array(lms)[1] == 1
 
     def test_tip_below_mcp_is_folded(self):
         lms = hand_with({INDEX_MCP: (0.5, 0.60), INDEX_TIP: (0.5, 0.70)})
-        assert finger_state(lms, "index") == 0
+        assert posture_array(lms)[1] == 0
 
     def test_exact_tie_is_folded(self):
         lms = hand_with({INDEX_MCP: (0.5, 0.60), INDEX_TIP: (0.4, 0.60)})
-        assert finger_state(lms, "index") == 0
+        assert posture_array(lms)[1] == 0
 
     def test_each_finger_reads_its_own_joints(self):
-        for finger, mcp, tip in [("index", 5, 8), ("middle", 9, 12),
-                                 ("ring", 13, 16), ("pinky", 17, 20)]:
+        for bit, mcp, tip in [(1, 5, 8), (2, 9, 12), (3, 13, 16), (4, 17, 20)]:
             lms = hand_with({mcp: (0.5, 0.6), tip: (0.5, 0.4)})
-            assert finger_state(lms, finger) == 1, finger
-
-    def test_thumb_not_accepted_here(self):
-        with pytest.raises(ValueError):
-            finger_state(hand_with({}), "thumb")
+            assert posture_array(lms)[bit] == 1, bit
 
 
 class TestThumbState:
     def test_lateral_thumb_open(self):
         # slope -0.2 over dx 0.10: both guards pass
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.60, 0.48)})
-        assert thumb_state(lms) == 1
+        assert posture_array(lms)[0] == 1
 
     def test_narrow_dx_folded(self):
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.52, 0.40)})
-        assert thumb_state(lms) == 0
+        assert posture_array(lms)[0] == 0
 
     def test_vertical_thumb_folded(self):
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.50, 0.30)})
-        assert thumb_state(lms) == 0
+        assert posture_array(lms)[0] == 0
 
     def test_steep_slope_folded(self):
         # dx 0.05 passes the width guard, slope -4 fails the slope guard
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.55, 0.30)})
-        assert thumb_state(lms) == 0
+        assert posture_array(lms)[0] == 0
 
     def test_slope_exactly_at_limit_is_open(self):
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.60, 0.60)})
-        assert thumb_state(lms) == 1
+        assert posture_array(lms)[0] == 1
 
     def test_params_are_adjustable(self):
         lms = hand_with({THUMB_MCP: (0.50, 0.50), THUMB_TIP: (0.52, 0.50)})
-        assert thumb_state(lms) == 0
-        assert thumb_state(lms, FingerStateParams(thumb_min_dx=0.01)) == 1
+        assert posture_array(lms)[0] == 0
+        assert posture_array(lms, FingerStateParams(thumb_min_dx=0.01))[0] == 1
 
     @pytest.mark.parametrize("field", ["thumb_slope_max", "thumb_min_dx"])
     @pytest.mark.parametrize("value, message", [
@@ -135,14 +126,22 @@ class TestPostureArray:
         assert posture_array(hand_template(ONE)) == ONE
 
 
+def onset_cursor(lms):
+    """The cursor GestureEngine reports when a one-frame gesture of lms's posture starts."""
+    engine = GestureEngine(GestureRegistry([GestureDef("G", posture_array(lms), hold_frames=1)]))
+    [event] = engine.step(HandFrame(t_ms=0, hands=(lms,)))
+    assert event.is_onset
+    return event.cursor
+
+
 class TestControlPoints:
     def test_cursor_is_thumb_index_midpoint(self):
         lms = hand_with({THUMB_TIP: (0.4, 0.6), INDEX_TIP: (0.6, 0.4)})
-        assert cursor_point(lms) == Point2(0.5, 0.5)
+        assert onset_cursor(lms) == reference_cursor(lms) == Point2(0.5, 0.5)
 
     def test_cursor_of_coincident_tips(self):
         lms = hand_with({THUMB_TIP: (0.3, 0.7), INDEX_TIP: (0.3, 0.7)})
-        assert cursor_point(lms) == Point2(0.3, 0.7)
+        assert onset_cursor(lms) == reference_cursor(lms) == Point2(0.3, 0.7)
 
     def test_focal_is_middle_mcp(self):
         lms = hand_with({MIDDLE_MCP: (0.2, 0.8)})
@@ -332,12 +331,14 @@ class TestEngine:
         stepped = [e for f in frames for e in engine2.step(f)]
         assert collected == stepped
 
-    def test_frame_arrays_maps_both_hands(self):
+    def test_frame_classification_maps_both_hands(self):
         right = hand_template(ONE, Handedness.RIGHT)
         left = hand_template(FIVE, Handedness.LEFT)
-        arrays = frame_arrays(HandFrame(t_ms=0, hands=(right, left)))
-        assert arrays[Handedness.RIGHT] == ONE
-        assert arrays[Handedness.LEFT] == FIVE
+        reg = GestureRegistry([GestureDef("OneFive", DoublePattern(right=ONE, left=FIVE))])
+        assert _classify_frame(HandFrame(t_ms=0, hands=(left, right)), reg,
+                               DEFAULT_FINGER_PARAMS) == "OneFive"
+        swapped = (hand_template(FIVE, Handedness.RIGHT), hand_template(ONE, Handedness.LEFT))
+        assert _classify_frame(HandFrame(t_ms=0, hands=swapped), reg, DEFAULT_FINGER_PARAMS) is None
 
 
 def reference_cursor(lms):
@@ -377,13 +378,12 @@ class TestEngineCursor:
         for frame in frames:
             if frame.hands:
                 last_hand = frame.hands[0]
-            name = classify(frame_arrays(frame), reg)
+            name = classify({h.handedness: posture_array(h) for h in frame.hands}, reg)
             for event in engine.step(frame):
                 if event.is_onset:
                     assert event.name == name and event.onset_ms == frame.t_ms
                     want = None if last_hand is None else reference_cursor(last_hand)
                     assert event.cursor == want
-                    assert want is None or event.cursor == cursor_point(last_hand)
                     assert event.cursor is None or type(event.cursor.x) is float
                     active = event.name
                 else:
@@ -401,9 +401,6 @@ class TestEngineCursor:
         with pytest.raises(ValidationError) as info:
             engine.step(HandFrame(t_ms=40, hands=(huge,)))
         assert type(info.value) is ValidationError and str(info.value) == message
-        with pytest.raises(ValidationError) as info:
-            cursor_point(huge)
-        assert str(info.value) == message
 
 
 # --- the hand code and the compiled table against the scalar rules ------------
@@ -523,10 +520,6 @@ class TestCompiledRules:
         with np.errstate(all="ignore"):
             want = scalar_posture(lms, params)
         assert posture_array(lms, params) == want
-        assert thumb_state(lms, params) == want[0]
-        with np.errstate(all="ignore"):
-            assert [finger_state(lms, f) for f in ("index", "middle", "ring", "pinky")] == \
-                list(scalar_posture(lms, DEFAULT_FINGER_PARAMS))[1:]
 
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(right=odd_hands("R") | st.none(), left=odd_hands("L") | st.none(),
@@ -535,5 +528,5 @@ class TestCompiledRules:
         frame = HandFrame(t_ms=0, hands=tuple(h for h in (right, left) if h is not None))
         with np.errstate(all="ignore"):
             arrays = {h.handedness: scalar_posture(h, params) for h in frame.hands}
-        assert frame_arrays(frame, params) == arrays
+        assert {h.handedness: posture_array(h, params) for h in frame.hands} == arrays
         assert _classify_frame(frame, reg, params) == first_match(arrays, reg)

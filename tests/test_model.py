@@ -119,11 +119,6 @@ class TestHandFrame:
         with pytest.raises(ValidationError, match="at most 2"):
             HandFrame(t_ms=0, hands=(make_hand("R"), make_hand("L"), make_hand("R")))
 
-    def test_hand_lookup(self):
-        frame = HandFrame(t_ms=0, hands=(make_hand("L"),))
-        assert frame.hand(Handedness.LEFT) is frame.hands[0]
-        assert frame.hand(Handedness.RIGHT) is None
-
 
 class TestPostureArray:
     def test_of_and_iteration(self):

@@ -27,7 +27,6 @@ from handwave import (
     encoder_backward,
     encoder_forward,
     enroll,
-    error_rates,
     euclidean_distance,
     init_encoder,
     load_features,
@@ -760,12 +759,15 @@ class TestErrorOrder:
 
 class TestRoc:
     def test_separable_pair(self):
-        assert error_rates([0.1], [0.9], 0.5) == (0.0, 0.0)
+        sweep = roc_sweep([0.1], [0.9])
+        assert RocPoint(0.1, 0.0, 0.0) in sweep.points
+        assert sweep.eer == 0.0 and sweep.best_accuracy == 1.0
 
     def test_error_rates_counting(self):
-        far, frr = error_rates([0.1, 0.4, 0.6], [0.2, 0.5, 0.7, 0.9], 0.45)
-        assert far == pytest.approx(1 / 4)
-        assert frr == pytest.approx(1 / 3)
+        sweep = roc_sweep([0.1, 0.4, 0.6], [0.2, 0.5, 0.7, 0.9])
+        [point] = [p for p in sweep.points if p.threshold == 0.4]
+        assert point.far == pytest.approx(1 / 4)
+        assert point.frr == pytest.approx(1 / 3)
 
     def test_identical_distributions_eer_half(self):
         values = [0.2, 0.4, 0.6, 0.8]
@@ -811,8 +813,6 @@ class TestRoc:
             roc_sweep([], [0.5])
         with pytest.raises(DataError):
             roc_sweep([0.5], [])
-        with pytest.raises(DataError):
-            error_rates([], [0.5], 0.5)
 
 
 def eager_roc_points(genuine, impostor) -> tuple[RocPoint, ...]:
