@@ -79,7 +79,6 @@ from .palmauth import (
     AuthDecision,
     EncoderParams,
     EnrollmentRecord,
-    RocPoint,
     RocSweep,
     Triplet,
     adam_step,
@@ -136,7 +135,7 @@ __all__ = [
     "GestureRegistry", "classify", "default_registry", "focal_point",
     "load_registry", "posture_array", "save_registry",
     "AdamState", "AuthDecision", "EncoderParams", "EnrollmentRecord",
-    "RocPoint", "RocSweep", "Triplet", "adam_step", "encoder_backward",
+    "RocSweep", "Triplet", "adam_step", "encoder_backward",
     "encoder_forward", "enroll", "euclidean_distance",
     "init_encoder", "load_features", "load_params", "load_store",
     "mine_triplets", "roc_sweep", "save_features", "save_params",

@@ -100,14 +100,15 @@ def cmd_eval(args) -> int:
     params = _finger_params(_load_config(args.config))
     pairs = streams.read_labelled(args.corpus)
     if args.events:
-        _emit(evaluate_events(pairs, registry, params))
-        return 0
-    report = evaluate_pairs(pairs, registry, params)
-    obj = report_to_obj(report)
+        obj = evaluate_events(pairs, registry, params)
+    else:
+        report = evaluate_pairs(pairs, registry, params)
+        obj = report_to_obj(report)
     if args.out:
         write_lines(args.out, [obj])
     _emit(obj)
-    sys.stdout.write(format_report_table(report) + "\n")
+    if not args.events:
+        sys.stdout.write(format_report_table(report) + "\n")
     return 0
 
 
@@ -293,8 +294,7 @@ def cmd_roc(args) -> int:
         "num_impostor": len(impostor),
     }
     if args.points:
-        points = sweep.points
-        result["points"] = np.column_stack((points.thresholds, points.far, points.frr)).tolist()
+        result["points"] = np.column_stack((sweep.thresholds, sweep.far, sweep.frr)).tolist()
     _emit(result)
     return 0
 

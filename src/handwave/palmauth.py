@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -502,62 +501,17 @@ def verify(feature, record: EnrollmentRecord, params: EncoderParams) -> AuthDeci
     return AuthDecision(distance <= record.threshold, distance, record.subject_id)
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float  # impostor acceptance fraction at this threshold
-    frr: float  # genuine rejection fraction at this threshold
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class _RocPoints(Sequence):
-    """The points of a roc_sweep, kept as its read-only float64 arrays.
-
-    Each RocPoint is built when it is read. Slices are views of the same
-    kind; ``==``, ``hash`` and ``repr`` are those of the tuple of points.
-    """
-
-    thresholds: np.ndarray
-    far: np.ndarray
-    frr: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (self.thresholds, self.far, self.frr):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.thresholds)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _RocPoints(self.thresholds[index], self.far[index], self.frr[index])
-        i = operator.index(index)
-        return RocPoint(float(self.thresholds[i]), float(self.far[i]), float(self.frr[i]))
-
-    def __iter__(self):
-        return map(RocPoint, self.thresholds.tolist(), self.far.tolist(), self.frr.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _RocPoints):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocSweep:
     """FAR/FRR across every decision boundary the data distinguishes.
 
-    From roc_sweep, ``points`` is a read-only sequence over the sweep's
-    ``thresholds``, ``far`` and ``frr`` arrays that reads as a tuple of points.
+    ``thresholds``, ``far`` and ``frr`` are read-only float64 arrays, one
+    entry per threshold in ascending order.
     """
 
-    points: Sequence[RocPoint]
+    thresholds: np.ndarray
+    far: np.ndarray  # impostor acceptance fraction at each threshold
+    frr: np.ndarray  # genuine rejection fraction at each threshold
     eer_threshold: float
     eer: float
     best_accuracy_threshold: float
@@ -592,8 +546,12 @@ def roc_sweep(genuine, impostor) -> RocSweep:
     eer_idx = int(np.argmin(np.abs(far - frr)))
     accuracy = (accepted_genuine + (im.shape[0] - accepted_impostors)) / (g.shape[0] + im.shape[0])
     best_idx = int(np.argmax(accuracy))
+    for arr in (thresholds, far, frr):
+        arr.setflags(write=False)
     return RocSweep(
-        points=_RocPoints(thresholds, far, frr),
+        thresholds=thresholds,
+        far=far,
+        frr=frr,
         eer_threshold=float(thresholds[eer_idx]),
         eer=float((far[eer_idx] + frr[eer_idx]) / 2.0),
         best_accuracy_threshold=float(thresholds[best_idx]),

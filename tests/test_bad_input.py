@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,9 @@ def inputs(tmp_path_factory):
         {"finger_params": {"thumb_slope_max": 1.0, "thumb_min_dx": 0.04},
          "controller": {"deadzone": 0.05, "gain": 40.0, "max_steps": 20}}) + "\n")
     save_registry(root / "registry.json", default_registry())
+    (root / "mapping.json").write_text(json.dumps(
+        {"Collab_2H": {"device": "tv", "action": "POWER"},
+         "TimeOut_2H": {"device": "lamp", "action": "OFF"}}) + "\n")
     (root / "port").touch()
     return root
 
@@ -107,7 +111,8 @@ COMMANDS = {
     "verify": ["--store", "store.json", "--subject", "s0", "--probe", "probe.json",
                "--params", "params.json"],
     "roc": ["--data", "data.jsonl", "--params", "params.json"],
-    "track": ["--frames", "frames.jsonl", "--uri", "serial:port", "--config", "config.json"],
+    "track": ["--frames", "frames.jsonl", "--uri", "serial:port", "--config", "config.json",
+              "--mapping", "mapping.json"],
     "synth": ["--registry", "registry.json", "--frames", "2", "--config", "config.json"],
     "train": ["--data", "data.jsonl", "--out", "trained.json", "--epochs", "2"],
     "enroll": ["--store", "enrolled.json", "--subject", "s0", "--data", "data.jsonl",
@@ -441,6 +446,14 @@ BAD_INPUTS = [
     ("anchors-size-variance-negative", "decode", "preds.jsonl",
      _with(PREDS, anchors_cfg={**ANCHORS, "size_variance": -1}),
      "error: line 1: anchors: size_variance must be positive, got -1.0\n"),
+    ("anchors-layers-empty", "decode", "preds.jsonl", _with(PREDS, anchors_cfg={"layers": []}),
+     "error: line 1: anchors: at least one layer is required\n"),
+    ("preds-one-row-flat", "decode", "preds.jsonl", _with(PREDS, preds=[1, 2, 3, 4, 5]),
+     "error: line 1: preds: expected (N, 5) rows, got shape (5,)\n"),
+    # A finite offset whose scaled centre overflows.
+    ("decoded-center-not-finite", "decode", "preds.jsonl",
+     _with(PREDS, anchors_cfg={**ANCHORS, "center_variance": 10}, preds=[[0, 1e308, 0, 0, 0]]),
+     "error: line 1: decoded box is not finite: (inf, 0.5, 0.5, 0.5)\n"),
     ("registry-entry-number", "replay", "registry.json", b"[5]",
      "error: registry[0]: expected an object\n"),
     ("registry-double-no-left", "replay", "registry.json",
@@ -687,12 +700,13 @@ FUZZED = {
     "keypoints": ["maps.jsonl"],
     "verify": ["store.json", "probe.json", "params.json"],
     "roc": ["data.jsonl", "params.json"],
-    "track": ["frames.jsonl", "config.json"],
+    "track": ["frames.jsonl", "config.json", "mapping.json"],
     "train": ["data.jsonl"],
-    "enroll": ["data.jsonl", "params.json"],
+    "enroll": ["data.jsonl", "params.json", "store.json"],
 }
-# The file each fuzzed command writes, kept out of the shared inputs.
-WRITTEN = {"train": "trained.json", "enroll": "enrolled.json"}
+# The file each fuzzed command writes, kept out of the shared inputs, and the
+# input it starts as: enroll adds to an existing store, mutated when drawn.
+WRITTEN = {"train": ("trained.json", None), "enroll": ("enrolled.json", "store.json")}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZED))
@@ -709,14 +723,17 @@ def test_mutated_inputs_never_traceback(inputs, tmp_path, command, data):
         mutated = data.draw(byte_edit(original))
     paths = {name: tmp_path / name}
     paths[name].write_bytes(mutated)
-    if command in WRITTEN:
-        paths[WRITTEN[command]] = tmp_path / WRITTEN[command]
-        paths[WRITTEN[command]].unlink(missing_ok=True)  # each example writes afresh
+    if command in WRITTEN:  # each example writes afresh
+        written, start = WRITTEN[command]
+        paths[written] = tmp_path / written
+        paths[written].unlink(missing_ok=True)
+        if start is not None:
+            shutil.copyfile(paths.get(start, inputs / start), paths[written])
     code, _, err = run_main(*argv_for(inputs, command, paths))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 # --- demos ---

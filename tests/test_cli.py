@@ -81,6 +81,15 @@ class TestSynthEval:
         assert code == 0
         assert json.loads(report.read_text()) == first_json(out)
 
+    def test_eval_events_file(self, capsys, tmp_path):
+        corpus = tmp_path / "c.jsonl"
+        events = tmp_path / "e.json"
+        run_cli(capsys, "synth", "--out", str(corpus), "--frames", "8", "--sigma", "0")
+        code, out, _ = run_cli(capsys, "eval", "--corpus", str(corpus), "--events",
+                               "--out", str(events))
+        assert code == 0
+        assert events.read_text() == out  # the one events line stdout gets
+
     def test_eval_events_flag(self, capsys, tmp_path):
         corpus = tmp_path / "c.jsonl"
         run_cli(capsys, "synth", "--out", str(corpus), "--frames", "8", "--sigma", "0")
@@ -369,14 +378,14 @@ class TestPalmCommands:
         impostor = [euclidean_distance(a, b) for i, e in enumerate(embedded)
                     for f in embedded[i + 1:] for a in e for b in f]
         sweep = roc_sweep(genuine, impostor)
-        # Byte for byte, with the rows written from one RocPoint each.
+        # Byte for byte, with the rows written from the oracle's arrays.
         assert out == _jsonio.dumps({
             "eer_threshold": sweep.eer_threshold, "eer": sweep.eer,
             "best_accuracy_threshold": sweep.best_accuracy_threshold,
             "best_accuracy": sweep.best_accuracy,
             "num_genuine": len(genuine), "num_impostor": len(impostor),
-            "points": [[p.threshold, p.far, p.frr]
-                       for p in eager_roc_points(genuine, impostor)]}) + "\n"
+            "points": [[float(t), float(far), float(frr)]
+                       for t, far, frr in zip(*eager_roc_points(genuine, impostor))]}) + "\n"
 
 
 class TestOutFiles:

@@ -22,7 +22,6 @@ from handwave import (
     EncoderParams,
     EnrollmentRecord,
     NumericsError,
-    RocPoint,
     adam_step,
     encoder_backward,
     encoder_forward,
@@ -757,17 +756,22 @@ class TestErrorOrder:
             encoder_backward(params, *batches)
 
 
+def sweep_points(sweep):
+    """The sweep's (threshold, far, frr) rows, as Python floats."""
+    return list(zip(sweep.thresholds.tolist(), sweep.far.tolist(), sweep.frr.tolist()))
+
+
 class TestRoc:
     def test_separable_pair(self):
         sweep = roc_sweep([0.1], [0.9])
-        assert RocPoint(0.1, 0.0, 0.0) in sweep.points
+        assert (0.1, 0.0, 0.0) in sweep_points(sweep)
         assert sweep.eer == 0.0 and sweep.best_accuracy == 1.0
 
     def test_error_rates_counting(self):
         sweep = roc_sweep([0.1, 0.4, 0.6], [0.2, 0.5, 0.7, 0.9])
-        [point] = [p for p in sweep.points if p.threshold == 0.4]
-        assert point.far == pytest.approx(1 / 4)
-        assert point.frr == pytest.approx(1 / 3)
+        [(_, far, frr)] = [p for p in sweep_points(sweep) if p[0] == 0.4]
+        assert far == pytest.approx(1 / 4)
+        assert frr == pytest.approx(1 / 3)
 
     def test_identical_distributions_eer_half(self):
         values = [0.2, 0.4, 0.6, 0.8]
@@ -779,32 +783,33 @@ class TestRoc:
         genuine = rng.uniform(0, 1, 40).tolist()
         impostor = rng.uniform(0.3, 1.4, 60).tolist()
         sweep = roc_sweep(genuine, impostor)
-        thresholds = [p.threshold for p in sweep.points]
+        points = sweep_points(sweep)
+        thresholds = [t for t, _, _ in points]
         assert 0.0 in thresholds and math.inf in thresholds
-        for point in sweep.points:
-            far = sum(d <= point.threshold for d in impostor) / len(impostor)
-            frr = sum(d > point.threshold for d in genuine) / len(genuine)
-            assert point.far == pytest.approx(far, abs=1e-12)
-            assert point.frr == pytest.approx(frr, abs=1e-12)
+        for threshold, point_far, point_frr in points:
+            far = sum(d <= threshold for d in impostor) / len(impostor)
+            frr = sum(d > threshold for d in genuine) / len(genuine)
+            assert point_far == pytest.approx(far, abs=1e-12)
+            assert point_frr == pytest.approx(frr, abs=1e-12)
         # EER threshold: first minimizer of |FAR - FRR|
-        gaps = [abs(p.far - p.frr) for p in sweep.points]
+        gaps = [abs(far - frr) for _, far, frr in points]
         best = gaps.index(min(gaps))
-        assert sweep.eer_threshold == sweep.points[best].threshold
-        assert sweep.eer == pytest.approx(
-            (sweep.points[best].far + sweep.points[best].frr) / 2)
+        threshold, far, frr = points[best]
+        assert sweep.eer_threshold == threshold
+        assert sweep.eer == pytest.approx((far + frr) / 2)
         # best accuracy: direct counting
         accuracies = [
-            (sum(d <= p.threshold for d in genuine) + sum(d > p.threshold for d in impostor))
+            (sum(d <= t for d in genuine) + sum(d > t for d in impostor))
             / (len(genuine) + len(impostor))
-            for p in sweep.points
+            for t in thresholds
         ]
         assert sweep.best_accuracy == pytest.approx(max(accuracies), abs=1e-12)
 
     def test_far_frr_monotonic_in_threshold(self):
         rng = np.random.default_rng(47)
         sweep = roc_sweep(rng.uniform(0, 1, 30), rng.uniform(0, 1, 30))
-        fars = [p.far for p in sweep.points]
-        frrs = [p.frr for p in sweep.points]
+        fars = sweep.far.tolist()
+        frrs = sweep.frr.tolist()
         assert fars == sorted(fars)
         assert frrs == sorted(frrs, reverse=True)
 
@@ -815,15 +820,14 @@ class TestRoc:
             roc_sweep([0.5], [])
 
 
-def eager_roc_points(genuine, impostor) -> tuple[RocPoint, ...]:
-    """The sweep's points as roc_sweep first built them: one RocPoint per threshold."""
+def eager_roc_points(genuine, impostor):
+    """The sweep's thresholds, FAR and FRR arrays, computed here from the definition."""
     g = np.asarray(genuine, dtype=np.float64)
     im = np.asarray(impostor, dtype=np.float64)
     thresholds = np.append(np.unique(np.concatenate([g, im, [0.0]])), np.inf)
     far = np.searchsorted(np.sort(im), thresholds, side="right") / im.shape[0]
     frr = 1.0 - np.searchsorted(np.sort(g), thresholds, side="right") / g.shape[0]
-    return tuple(RocPoint(float(t), float(fa), float(fr))
-                 for t, fa, fr in zip(thresholds, far, frr))
+    return thresholds, far, frr
 
 
 def _sweep_inputs():
@@ -843,62 +847,31 @@ SWEEP_INPUTS = _sweep_inputs()
 
 
 class TestSweepOracle:
-    """roc_sweep's points equal the eager construction bit for bit."""
-
-    @staticmethod
-    def bits(points):
-        return [(p.threshold.hex(), p.far.hex(), p.frr.hex()) for p in points]
+    """roc_sweep's arrays equal the oracle's bit for bit."""
 
     @pytest.mark.parametrize("case", sorted(SWEEP_INPUTS))
     def test_points_read_as_the_eager_tuple(self, case):
         genuine, impostor = SWEEP_INPUTS[case]
-        points, want = roc_sweep(genuine, impostor).points, eager_roc_points(genuine, impostor)
-        assert tuple(points) == want and self.bits(points) == self.bits(want)
-        assert len(points) == len(want)
-        assert self.bits([points[i] for i in range(-len(want), len(want))]) == \
-            self.bits(want + want)
-        assert self.bits(reversed(points)) == self.bits(reversed(want))
-        for part in (slice(None), slice(1, 3), slice(None, None, -2), slice(4, 1), slice(-2, None)):
-            assert points[part] == want[part] and self.bits(points[part]) == self.bits(want[part])
-        assert points == want and want == points and not points != want
-        assert hash(points) == hash(want) and repr(points) == repr(want)
-        assert points != list(want)  # a tuple never equals a list
-
-    def test_sweeps_compare_as_with_a_tuple(self):
-        genuine, impostor = SWEEP_INPUTS["ties"]
         sweep = roc_sweep(genuine, impostor)
-        eager = replace(sweep, points=eager_roc_points(genuine, impostor))
-        assert sweep == eager and hash(sweep) == hash(eager) and repr(sweep) == repr(eager)
-        assert sweep == roc_sweep(genuine, impostor)
+        got = (sweep.thresholds, sweep.far, sweep.frr)
+        for arr, want in zip(got, eager_roc_points(genuine, impostor), strict=True):
+            assert arr.dtype == np.float64 and arr.shape == want.shape
+            assert arr.tobytes() == want.tobytes()
 
     def test_points_are_read_only(self):
-        points = roc_sweep(*SWEEP_INPUTS["uniform"]).points
-        for arr in (points.thresholds, points.far, points.frr):
-            assert arr.dtype == np.float64 and not arr.flags.writeable
-        with pytest.raises(TypeError):
-            points[0] = RocPoint(0.0, 0.0, 0.0)
-        with pytest.raises(IndexError):
-            points[len(points)]
-        with pytest.raises(TypeError):
-            points[1.0]
+        sweep = roc_sweep(*SWEEP_INPUTS["uniform"])
+        for arr in (sweep.thresholds, sweep.far, sweep.frr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestSweepLaziness:
-    def test_summary_builds_no_point(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(palmauth, "RocPoint", lambda *a: built.append(a) or RocPoint(*a))
-        sweep = roc_sweep(*SWEEP_INPUTS["uniform"])
-        summary = (sweep.eer_threshold, sweep.eer, sweep.best_accuracy_threshold,
-                   sweep.best_accuracy)
-        assert built == [] and len(summary) == 4
-        sweep.points[3]
-        assert len(built) == 1
-
     def test_sweep_peak_memory_is_arrays(self):
         rng = np.random.default_rng(101)
         genuine, impostor = rng.uniform(0.0, 1.0, 10_000), rng.uniform(0.5, 2.0, 90_000)
         # 100k distances (about 100k thresholds): the arrays peak at 6.5 MB,
-        # against 24.1 MB when a RocPoint was built per threshold (numpy 2.4,
+        # against 24.1 MB when a point object was built per threshold (numpy 2.4,
         # CPython 3.11).
         assert traced_peak(roc_sweep, genuine, impostor) < 12e6
 
