@@ -80,7 +80,6 @@ from .palmauth import (
     EncoderParams,
     EnrollmentRecord,
     RocSweep,
-    Triplet,
     adam_step,
     encoder_backward,
     encoder_forward,
@@ -135,7 +134,7 @@ __all__ = [
     "GestureRegistry", "classify", "default_registry", "focal_point",
     "load_registry", "posture_array", "save_registry",
     "AdamState", "AuthDecision", "EncoderParams", "EnrollmentRecord",
-    "RocSweep", "Triplet", "adam_step", "encoder_backward",
+    "RocSweep", "adam_step", "encoder_backward",
     "encoder_forward", "enroll", "euclidean_distance",
     "init_encoder", "load_features", "load_params", "load_store",
     "mine_triplets", "roc_sweep", "save_features", "save_params",

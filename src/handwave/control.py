@@ -139,14 +139,13 @@ def _expect(data: bytes, pos: int, want: bytes, what: str) -> None:
         raise ProtocolError(f"expected {what}", pos)
 
 
-def decode_wire(data: bytes, max_steps: int | None = None) -> MotorCommand | DeviceCommand:
+def decode_wire(data: bytes) -> MotorCommand | DeviceCommand:
     """Parse one wire line back into a command.
 
     Only canonical encodings are accepted — exact spacing, uppercase verbs and
     axes, no leading zeros, a single trailing LF — so decode/encode round-trips
-    are byte-identical. ``max_steps``, when given, additionally bounds motor
-    magnitudes (the grammar alone allows up to 999). Violations raise
-    ProtocolError carrying the byte offset.
+    are byte-identical. Motor magnitudes run from 1 to 999, as the grammar's
+    three digits allow. Violations raise ProtocolError carrying the byte offset.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise ProtocolError(f"expected bytes, got {type(data).__name__}", 0)
@@ -182,8 +181,6 @@ def decode_wire(data: bytes, max_steps: int | None = None) -> MotorCommand | Dev
         if pos != len(data) - 1:
             raise ProtocolError("unexpected byte after digits", pos)
         value = int(digits)
-        if max_steps is not None and value > max_steps:
-            raise ProtocolError(f"steps {value} exceed limit {max_steps}", 5)
         return MotorCommand(Axis(axis_byte.decode("ascii")),
                             value if sign_byte == b"+" else -value)
 

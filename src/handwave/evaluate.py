@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 from typing import Iterable
-
-import numpy as np
 
 from .errors import DataError
 from .gestures import (
@@ -37,30 +36,19 @@ def evaluate(pairs: Iterable[tuple[HandFrame, str]],
     column per label plus a trailing "none" column for frames that matched
     nothing. Raises DataError on an empty stream.
     """
-    labels: dict[str, int] = {}  # each label and predicted name, by first-seen index
-    names: dict[str, int] = {}
-    label_ids: list[int] = []
-    name_ids: list[int] = []
-    for frame, label in pairs:
-        label_ids.append(labels.setdefault(label, len(labels)))
-        name = _classify_frame(frame, registry, params) or NO_MATCH
-        name_ids.append(names.setdefault(name, len(names)))
-    if not label_ids:
+    tally = Counter((label, _classify_frame(frame, registry, params) or NO_MATCH)
+                    for frame, label in pairs)
+    if not tally:
         raise DataError("evaluate: the labelled stream is empty")
-    counts = np.bincount(np.array(label_ids) * len(names) + name_ids,
-                         minlength=len(labels) * len(names)).reshape(len(labels), len(names))
-    columns = [*labels, *sorted(set(names) - {*labels, NO_MATCH})]
+    labels = list(dict.fromkeys(label for label, _ in tally))
+    columns = [*labels, *sorted({name for _, name in tally} - {*labels, NO_MATCH})]
     if NO_MATCH not in columns:
         columns.append(NO_MATCH)
-
-    col_index = {name: i for i, name in enumerate(columns)}
-    matrix = np.zeros((len(labels), len(columns)), dtype=np.int64)
-    matrix[:, [col_index[name] for name in names]] = counts
-    totals = counts.sum(axis=1).tolist()
-    correct = [int(matrix[r, col_index[label]]) for r, label in enumerate(labels)]
+    matrix = [[tally[label, name] for name in columns] for label in labels]
+    correct = [tally[label, label] for label in labels]
     return EvalReport(
-        rows=tuple(map(EvalRow.from_counts, labels, totals, correct)),
-        totals=EvalRow.from_counts("total", len(label_ids), sum(correct)),
+        rows=tuple(map(EvalRow.from_counts, labels, map(sum, matrix), correct)),
+        totals=EvalRow.from_counts("total", tally.total(), sum(correct)),
         labels=tuple(labels),
         columns=tuple(columns),
         confusion=matrix,

@@ -319,21 +319,6 @@ def adam_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
     return new_params, replace(state, m=new_m, v=new_v, t=t)
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One mined training example: same-subject anchor/positive, other-subject negative."""
-
-    anchor: np.ndarray
-    positive: np.ndarray
-    negative: np.ndarray
-    subject: str
-    negative_subject: str
-
-    def __post_init__(self) -> None:
-        if self.subject == self.negative_subject:
-            raise ValidationError("triplet: negative must come from a different subject")
-
-
 def _check_features(features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     if len(features) < 2:
         raise DataError(f"need at least 2 subjects, got {len(features)}")
@@ -355,31 +340,30 @@ def _check_features(features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]
 
 
 def mine_triplets(features: Mapping[str, np.ndarray], count: int,
-                  rng: int | np.random.Generator = 0) -> list[Triplet]:
-    """Draw uniform random valid triplets.
+                  rng: int | np.random.Generator = 0
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw uniform random valid triplets as (anchors, positives, negatives).
 
-    The anchor subject is uniform over subjects, the anchor/positive pair
-    uniform over distinct same-subject samples, the negative subject uniform
-    over the remaining subjects, and the negative sample uniform within it.
+    Row i of the three ``(count, D)`` arrays is one triplet. The anchor
+    subject is uniform over subjects, the anchor/positive pair uniform over
+    distinct same-subject samples, the negative subject uniform over the
+    remaining subjects, and the negative sample uniform within it.
     """
     data = _check_features(features)
     if count < 0:
         raise ValidationError(f"count must be non-negative, got {count}")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     subjects = sorted(data)
-    triplets: list[Triplet] = []
-    for _ in range(count):
+    out = np.empty((3, count, data[subjects[0]].shape[1]))
+    for i in range(count):
         s = subjects[int(rng.integers(len(subjects)))]
         rows = data[s]
         a_idx, p_idx = rng.choice(rows.shape[0], size=2, replace=False)
         others = [o for o in subjects if o != s]
         t = others[int(rng.integers(len(others)))]
         n_idx = int(rng.integers(data[t].shape[0]))
-        triplets.append(Triplet(
-            anchor=rows[int(a_idx)], positive=rows[int(p_idx)],
-            negative=data[t][n_idx], subject=s, negative_subject=t,
-        ))
-    return triplets
+        out[:, i] = rows[a_idx], rows[p_idx], data[t][n_idx]
+    return out[0], out[1], out[2]
 
 
 def train(features: Mapping[str, np.ndarray], *,
@@ -422,21 +406,18 @@ def train(features: Mapping[str, np.ndarray], *,
     state = AdamState.initial(params.as_dict(), lr=lr)
     curve: list[float] = []
     for _ in range(epochs):
-        triplets = mine_triplets(data, triplets_per_epoch, rng)
-        xa = np.stack([t.anchor for t in triplets])
-        xp = np.stack([t.positive for t in triplets])
-        xn = np.stack([t.negative for t in triplets])
+        xa, xp, xn = mine_triplets(data, triplets_per_epoch, rng)
         loss_sum = 0.0
-        for start in range(0, len(triplets), batch_size):
+        for start in range(0, len(xa), batch_size):
             stop = start + batch_size
             grads, loss = encoder_backward(
                 params, xa[start:stop], xp[start:stop], xn[start:stop],
                 alpha=alpha)
-            weight = min(stop, len(triplets)) - start
+            weight = min(stop, len(xa)) - start
             loss_sum += loss * weight
             arrays, state = adam_step(params.as_dict(), grads, state)
             params = params.with_arrays(arrays)
-        curve.append(loss_sum / len(triplets))
+        curve.append(loss_sum / len(xa))
     return params, curve
 
 

@@ -450,6 +450,8 @@ BAD_INPUTS = [
      "error: line 1: anchors: at least one layer is required\n"),
     ("preds-one-row-flat", "decode", "preds.jsonl", _with(PREDS, preds=[1, 2, 3, 4, 5]),
      "error: line 1: preds: expected (N, 5) rows, got shape (5,)\n"),
+    ("preds-nan", "decode", "preds.jsonl", _with(PREDS, preds=[[np.nan, 0, 0, 0, 0]]),
+     "error: line 1: preds: values must be finite\n"),
     # A finite offset whose scaled centre overflows.
     ("decoded-center-not-finite", "decode", "preds.jsonl",
      _with(PREDS, anchors_cfg={**ANCHORS, "center_variance": 10}, preds=[[0, 1e308, 0, 0, 0]]),

@@ -122,6 +122,16 @@ class TestDetectCommands:
         assert (cx, cy, w, h) == (0.5, 0.5, 0.5, 0.5)
         assert score == pytest.approx(1.0 / (1.0 + math.exp(-3.0)))
 
+    def test_far_off_centre_is_kept(self, capsys, tmp_path):
+        # BBox allows a centre outside the unit square, so a huge finite
+        # offset decodes to a far-off box rather than an error.
+        preds = tmp_path / "preds.jsonl"
+        cfg = AnchorConfig(layers=(LayerSpec(1, 1, (0.5,), (1.0,)),))
+        record = {"anchors_cfg": cfg.to_obj(), "preds": [[1e308, 1e308, 1e308, 0.0, 0.0]]}
+        preds.write_text(json.dumps(record) + "\n")
+        assert run_cli(capsys, "decode", "--preds", str(preds)) == (
+            0, '{"boxes":[[5.0000000000000006e+306,5.0000000000000006e+306,0.5,0.5,1.0]]}\n', "")
+
     def test_keypoints_emits_frames(self, capsys, tmp_path):
         maps_path = tmp_path / "maps.jsonl"
         maps = np.zeros((21, 4, 4))

@@ -206,13 +206,6 @@ class TestDecodeWire:
             decode_wire(b"D " + b"a" * 17 + b" POWER\n")
         assert exc_info.value.offset == 2 + 16
 
-    def test_max_steps_bound_optional(self):
-        assert decode_wire(b"M X +21\n") == MotorCommand(Axis.X, 21)
-        with pytest.raises(ProtocolError) as exc_info:
-            decode_wire(b"M X +21\n", max_steps=20)
-        assert exc_info.value.offset == 5
-        assert decode_wire(b"M X +20\n", max_steps=20) == MotorCommand(Axis.X, 20)
-
     def test_non_bytes_rejected(self):
         with pytest.raises(ProtocolError):
             decode_wire("M X +8\n")

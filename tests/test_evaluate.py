@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,22 @@ class TestEvaluate:
         assert (report.labels, report.columns) == (("none",), ("none",))
         assert report.confusion.tolist() == [[3]]
         assert report.totals.correct_frames == 3
+
+    def test_streamed_frames_hold_no_per_frame_state(self):
+        # Frames are scored as they arrive, so the peak does not grow with the
+        # stream: two ids kept per frame would take about 400 KB here.
+        frames = [*frames_of(ONE, 1, "One"), *frames_of(TWO, 1, "Two"),
+                  *frames_of(FIVE, 1, "Two")]
+        stream = (frames[i % 3] for i in range(10_000))
+        registry = small_registry()
+        tracemalloc.start()
+        try:
+            report = evaluate(stream, registry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.totals.total_frames == 10_000
+        assert peak < 64 * 1024
 
 
 def run_eval(lines, registry, params=DEFAULT_FINGER_PARAMS, *flags):

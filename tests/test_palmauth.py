@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from handwave import (
     EncoderParams,
     EnrollmentRecord,
     NumericsError,
+    ValidationError,
     adam_step,
     encoder_backward,
     encoder_forward,
@@ -39,6 +41,7 @@ from handwave import (
     train,
     triplet_grad,
     triplet_loss,
+    validate_frame,
     verify,
 )
 from handwave import palmauth
@@ -406,30 +409,42 @@ class TestMineTriplets:
         rng = np.random.default_rng(seed)
         return {f"s{i}": rng.normal(size=(per, dim)) for i in range(n_subjects)}
 
+    @staticmethod
+    def subject_of(features):
+        """Each fixture row's subject, keyed by its bytes (the rows are distinct)."""
+        table = {row.tobytes(): s for s, rows in features.items() for row in rows}
+        assert len(table) == sum(len(rows) for rows in features.values())
+        return table
+
     def test_label_constraint(self):
-        triplets = mine_triplets(self.features(), 50, rng=0)
-        assert len(triplets) == 50
-        for t in triplets:
-            assert t.subject != t.negative_subject
-            assert not np.array_equal(t.anchor, t.positive)
+        feats = self.features()
+        subject_of = self.subject_of(feats)
+        anchors, positives, negatives = mine_triplets(feats, 50, rng=0)
+        assert anchors.shape == positives.shape == negatives.shape == (50, 6)
+        for a, p, n in zip(anchors, positives, negatives):
+            assert subject_of[a.tobytes()] == subject_of[p.tobytes()]
+            assert subject_of[n.tobytes()] != subject_of[a.tobytes()]
+            assert not np.array_equal(a, p)
 
     def test_determinism(self):
         a = mine_triplets(self.features(), 30, rng=7)
         b = mine_triplets(self.features(), 30, rng=7)
-        for ta, tb in zip(a, b):
-            assert ta.subject == tb.subject and ta.negative_subject == tb.negative_subject
-            assert np.array_equal(ta.anchor, tb.anchor)
+        for xa, xb in zip(a, b):
+            assert np.array_equal(xa, xb)
 
     def test_negative_subject_distribution_uniform(self):
         feats = self.features(n_subjects=10, per=3)
-        triplets = mine_triplets(feats, 2000, rng=17)
-        counts = {}
-        for t in triplets:
-            counts[t.negative_subject] = counts.get(t.negative_subject, 0) + 1
+        subject_of = self.subject_of(feats)
+        _, _, negatives = mine_triplets(feats, 2000, rng=17)
+        counts = Counter(subject_of[n.tobytes()] for n in negatives)
         expected = 2000 / 10
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert len(counts) == 10
         assert chi2 < 27.88  # chi-square 99.9th percentile, 9 dof
+
+    def test_zero_count_gives_empty_arrays(self):
+        for arr in mine_triplets(self.features(), 0, rng=0):
+            assert arr.shape == (0, 6)
 
     def test_insufficient_data_rejected(self):
         with pytest.raises(DataError):
@@ -754,6 +769,46 @@ class TestErrorOrder:
         batches = [np.ones((r, width)) for r in rows]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             encoder_backward(params, *batches)
+
+
+API_FEATURES = {"a": np.zeros((2, 4)), "b": np.ones((2, 4))}
+
+
+class TestApiChecks:
+    """Checks that only a Python caller can reach, one row each, with their text."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: roc_sweep([math.nan], [1.0]), DataError,
+         "roc_sweep: distances must be finite"),
+        (lambda: roc_sweep([-1.0], [1.0]), DataError,
+         "roc_sweep: distances must be non-negative"),
+        (lambda: train({**API_FEATURES, "a": np.full((2, 4), math.nan)}), DataError,
+         "subject 'a': features must be finite"),
+        (lambda: train({**API_FEATURES, "b": np.ones((2, 5))}), DimensionError,
+         "subject 'b': feature dimension 5 != 4"),
+        (lambda: train(API_FEATURES, epochs=0), ValidationError,
+         "epochs must be positive, got 0"),
+        (lambda: train(API_FEATURES, triplets_per_epoch=0), ValidationError,
+         "triplets_per_epoch and batch_size must be positive"),
+        (lambda: mine_triplets(API_FEATURES, -1), ValidationError,
+         "count must be non-negative, got -1"),
+        (lambda: EnrollmentRecord("s", [[math.nan]], 1.0), ValidationError,
+         "enrollment 's': anchors must be finite"),
+        (lambda: EncoderParams(np.ones((2, 3)), np.ones(2), np.ones((1, 3)), np.ones(1)),
+         DimensionError, "encoder: w2 columns 3 != hidden size 2"),
+        (lambda: EncoderParams(np.full((2, 3), math.inf), np.ones(2), np.ones((1, 2)),
+                               np.ones(1)),
+         NumericsError, "encoder: w1 contains non-finite values"),
+        (lambda: init_encoder(0, 2, 2), DimensionError,
+         "encoder dimensions must be positive"),
+        (lambda: validate_frame("x"), ValidationError,
+         "frame: expected HandFrame, got str"),
+    ], ids=["roc-nan", "roc-negative", "train-nan", "train-widths", "train-epochs",
+            "train-triplets", "mine-count", "enroll-nan", "encoder-w2-columns",
+            "encoder-w1-inf", "encoder-dimensions", "validate-frame-type"])
+    def test_check_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def sweep_points(sweep):
