@@ -3,6 +3,9 @@
 Every file handwave reads is ASCII JSON: one whole document, or one document
 per non-blank line. Each reader names the HandwaveError subclass its failures
 raise, so a bad byte, bad syntax and a bad value all end as ``error: ...``.
+One loop, ``line_records``, reads every line file: each reader hands it a
+``build`` callable for one line's object, and only it puts ``line N: `` in
+front of a line's fault.
 Everything handwave writes is compact ASCII JSON, one document per line.
 A number read from JSON goes through ``number`` or ``number_array``.
 """
@@ -91,22 +94,23 @@ def read_json(path: str | os.PathLike, what: str, error: type[HandwaveError]) ->
         return _loads(fh.read(), f"{what}: ", error)
 
 
-def json_lines(source: Iterable[str] | str | os.PathLike,
-               error: type[HandwaveError] = ParseError) -> Iterator[tuple[int, Any]]:
-    """Yield (line_no, obj) for each non-blank line of a path or an iterable of str."""
+def line_records(source: Iterable[str] | str | os.PathLike, build: Callable,
+                 error: type[HandwaveError] = ParseError) -> Iterator:
+    """Yield ``build(obj)`` for each non-blank line of a path or an iterable of str.
+
+    A line that is not ASCII JSON raises ``error``. A HandwaveError from either
+    step is raised again, as its own class, with ``line N: `` in front.
+    """
     opened = _open_text(source) if isinstance(source, (str, os.PathLike)) else nullcontext(source)
     with opened as lines:
         for n, line in enumerate(lines, start=1):
-            if line.strip():
-                yield n, _loads(line, f"line {n}: ", error)
-
-
-def line_records(source: Iterable[str] | str | os.PathLike, build: Callable) -> Iterator:
-    """Yield ``build(obj)`` for each line's object; a fault in it names the line."""
-    for n, obj in json_lines(source):
-        with at_line(n):
-            record = build(obj)
-        yield record
+            if not line.strip():
+                continue
+            try:
+                record = build(_loads(line, "", error))
+            except HandwaveError as exc:
+                raise type(exc)(f"line {n}: {exc}") from exc
+            yield record  # outside the try: only this line's own faults get its number
 
 
 def dumps(obj: Any) -> str:
@@ -130,16 +134,3 @@ def write_lines(dest: TextIO | str | os.PathLike, objs: Iterable[Any]) -> int:
             count += 1
     return count
 
-
-class at_line:
-    """Prefix any HandwaveError raised inside the block with ``line N: ``."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if isinstance(exc, HandwaveError):
-            raise type(exc)(f"line {self.n}: {exc}") from exc

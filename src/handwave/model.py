@@ -65,6 +65,17 @@ def as_handedness(value) -> Handedness:
         raise ValidationError(f"handedness: expected 'R' or 'L', got {value!r}") from None
 
 
+def _check_size(field: str, shape: tuple[int, ...]) -> None:
+    """Raise ValidationError naming ``field`` if numpy cannot form a float64 array of ``shape``.
+
+    For such a shape numpy raises ValueError, not MemoryError; a smaller one
+    that cannot be allocated still fails as MemoryError.
+    """
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"{field} is too large: a float64 array of shape {shape} exceeds numpy's size limit")
+
+
 @dataclass(frozen=True)
 class Point2:
     """A point in normalized image coordinates (finite; y grows downward)."""

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonio import at_line, json_lines, number, number_array, read_json, write_lines
+from ._jsonio import line_records, number, number_array, read_json, write_lines
 from .errors import (
     DataError,
     DimensionError,
@@ -38,6 +38,7 @@ from .errors import (
     NumericsError,
     ValidationError,
 )
+from .model import _check_size
 
 NORMALIZE_EPS = 1e-12
 
@@ -177,6 +178,8 @@ def init_encoder(input_dim: int, hidden_dim: int, embed_dim: int,
     """Fresh parameters drawn uniformly from [-init_scale, init_scale]."""
     if min(input_dim, hidden_dim, embed_dim) < 1:
         raise DimensionError("encoder dimensions must be positive")
+    _check_size("encoder: hidden_dim", (hidden_dim, input_dim))
+    _check_size("encoder: embed_dim", (embed_dim, hidden_dim))
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     return EncoderParams(
         w1=rng.uniform(-init_scale, init_scale, (hidden_dim, input_dim)),
@@ -352,9 +355,11 @@ def mine_triplets(features: Mapping[str, np.ndarray], count: int,
     data = _check_features(features)
     if count < 0:
         raise ValidationError(f"count must be non-negative, got {count}")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     subjects = sorted(data)
-    out = np.empty((3, count, data[subjects[0]].shape[1]))
+    shape = (3, count, data[subjects[0]].shape[1])
+    _check_size("mine_triplets: count", shape)
+    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    out = np.empty(shape)
     for i in range(count):
         s = subjects[int(rng.integers(len(subjects)))]
         rows = data[s]
@@ -546,19 +551,23 @@ def roc_sweep(genuine, impostor) -> RocSweep:
 
 def load_features(source: Iterable[str] | str | Path) -> dict[str, np.ndarray]:
     """Read a feature dataset: JSONL of {"subject": str, "features": [reals]}."""
-    rows: dict[str, list[np.ndarray]] = {}
     dim: int | None = None
-    for n, obj in json_lines(source, DataError):
-        with at_line(n):
-            if not isinstance(obj, dict) or not isinstance(obj.get("subject"), str) \
-                    or not isinstance(obj.get("features"), list):
-                raise DataError("expected fields 'subject' and 'features'")
-            vec = number_array(obj["features"], "features", DataError)
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise DimensionError(f"feature length {len(vec)} != {dim}")
-        rows.setdefault(obj["subject"], []).append(vec)
+
+    def row(obj) -> tuple[str, np.ndarray]:
+        nonlocal dim
+        if not isinstance(obj, dict) or not isinstance(obj.get("subject"), str) \
+                or not isinstance(obj.get("features"), list):
+            raise DataError("expected fields 'subject' and 'features'")
+        vec = number_array(obj["features"], "features", DataError)
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise DimensionError(f"feature length {len(vec)} != {dim}")
+        return obj["subject"], vec
+
+    rows: dict[str, list[np.ndarray]] = {}
+    for subject, vec in line_records(source, row, DataError):
+        rows.setdefault(subject, []).append(vec)
     if not rows:
         raise DataError("feature dataset is empty")
     return {subject: np.asarray(vecs, dtype=np.float64) for subject, vecs in rows.items()}

@@ -21,7 +21,7 @@ from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from ._jsonio import _NUMBER_TYPES, _loads, at_line, dumps, json_lines, number, write_lines
+from ._jsonio import _NUMBER_TYPES, _loads, dumps, line_records, number, write_lines
 from .errors import ParseError, StreamOrderError, ValidationError
 from .model import NUM_LANDMARKS, HandFrame, Handedness, LandmarkSet
 
@@ -188,10 +188,25 @@ def validate_frame(frame: HandFrame) -> None:
             raise ValidationError(f"hands[{i}].pts: coordinates must lie in [0, 1]")
 
 
-def _check_order(frame: HandFrame, last_t: int | None) -> int:
-    if last_t is not None and frame.t_ms <= last_t:
-        raise StreamOrderError(f"timestamp {frame.t_ms} does not increase past {last_t}")
-    return frame.t_ms
+def _frame_records(source: Iterable[str] | str | os.PathLike, labelled: bool) -> Iterator:
+    """Each line's frame (and label, if ``labelled``); timestamps must increase."""
+    last_t: int | None = None
+
+    def build(obj: Any):
+        nonlocal last_t
+        if labelled:
+            if not isinstance(obj, dict):
+                raise ValidationError("expected an object")
+            label = obj.pop("label", "none")
+            if not isinstance(label, str) or not label:
+                raise ValidationError("label must be a non-empty string")
+        frame = frame_from_obj(obj)
+        if last_t is not None and frame.t_ms <= last_t:
+            raise StreamOrderError(f"timestamp {frame.t_ms} does not increase past {last_t}")
+        last_t = frame.t_ms
+        return (frame, label) if labelled else frame
+
+    return line_records(source, build)
 
 
 def read_frames(source: Iterable[str] | str | os.PathLike) -> Iterator[HandFrame]:
@@ -201,12 +216,7 @@ def read_frames(source: Iterable[str] | str | os.PathLike) -> Iterator[HandFrame
     timestamp is not strictly greater than its predecessor's. Every error
     names its line.
     """
-    last_t: int | None = None
-    for n, obj in json_lines(source):
-        with at_line(n):
-            frame = frame_from_obj(obj)
-            last_t = _check_order(frame, last_t)
-        yield frame
+    return _frame_records(source, labelled=False)
 
 
 def _line_obj(frame: HandFrame, **extra: str) -> dict:
@@ -225,17 +235,7 @@ def read_labelled(source: Iterable[str] | str | os.PathLike) -> Iterator[tuple[H
     Lines without a "label" field yield the label "none". Timestamp ordering
     is enforced exactly as in read_frames.
     """
-    last_t: int | None = None
-    for n, obj in json_lines(source):
-        with at_line(n):
-            if not isinstance(obj, dict):
-                raise ValidationError("expected an object")
-            label = obj.pop("label", "none")
-            if not isinstance(label, str) or not label:
-                raise ValidationError("label must be a non-empty string")
-            frame = frame_from_obj(obj)
-            last_t = _check_order(frame, last_t)
-        yield frame, label
+    return _frame_records(source, labelled=True)
 
 
 def write_labelled(dest: TextIO | str | os.PathLike, pairs: Iterable[tuple[HandFrame, str]]) -> int:

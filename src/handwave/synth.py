@@ -33,6 +33,7 @@ from .model import (
     Handedness,
     LandmarkSet,
     PostureArray,
+    _check_size,
     as_handedness,
 )
 
@@ -134,6 +135,8 @@ class SynthSpec:
                 raise ValidationError(f"synth: bad gesture entry {name!r}")
         if self.frames_per_gesture < 1:
             raise ValidationError("synth: frames_per_gesture must be positive")
+        hands = 2 if any(isinstance(p, DoublePattern) for _, p in self.gestures) else 1
+        _check_size("synth: frames_per_gesture", (self.frames_per_gesture, hands, NUM_LANDMARKS, 2))
         if not math.isfinite(self.jitter_sigma):
             raise ValidationError(f"synth: jitter_sigma must be finite, got {self.jitter_sigma}")
         if self.jitter_sigma < 0:

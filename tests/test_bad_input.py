@@ -316,6 +316,28 @@ BAD_INPUTS = [
     ("synth-frames-unallocatable", "synth", "--frames", "1000000000000000",
      "error: Unable to allocate 597. PiB for an array with shape (1000000000000000, 2, 21, 2) "
      "and data type float64\n"),
+    # A size numpy cannot even represent is refused before anything is drawn.
+    ("synth-frames-too-big", "synth", "--frames", "20000000000000000",
+     "error: synth: frames_per_gesture is too large: a float64 array of shape "
+     "(20000000000000000, 2, 21, 2) exceeds numpy's size limit\n"),
+    ("synth-frames-beyond-int64", "synth", "--frames", "99999999999999999999",
+     "error: synth: frames_per_gesture is too large: a float64 array of shape "
+     "(99999999999999999999, 2, 21, 2) exceeds numpy's size limit\n"),
+    ("train-hidden-dim-too-big", "train", "--hidden-dim", "2000000000000000000",
+     "error: encoder: hidden_dim is too large: a float64 array of shape "
+     "(2000000000000000000, 4) exceeds numpy's size limit\n"),
+    ("train-hidden-dim-beyond-int64", "train", "--hidden-dim", "99999999999999999999",
+     "error: encoder: hidden_dim is too large: a float64 array of shape "
+     "(99999999999999999999, 4) exceeds numpy's size limit\n"),
+    ("train-embed-dim-beyond-int64", "train", "--embed-dim", "99999999999999999999",
+     "error: encoder: embed_dim is too large: a float64 array of shape "
+     "(99999999999999999999, 64) exceeds numpy's size limit\n"),
+    ("train-triplets-too-big", "train", "--triplets-per-epoch", "9223372036854775807",
+     "error: mine_triplets: count is too large: a float64 array of shape "
+     "(3, 9223372036854775807, 4) exceeds numpy's size limit\n"),
+    ("train-triplets-beyond-int64", "train", "--triplets-per-epoch", "99999999999999999999",
+     "error: mine_triplets: count is too large: a float64 array of shape "
+     "(3, 99999999999999999999, 4) exceeds numpy's size limit\n"),
     ("enroll-unknown-subject", "enroll", "--subject", "zz", "error: subject 'zz' not present in "),
     ("train-alpha-nan", "train", "--alpha", "nan", "error: alpha must be finite, got nan"),
     ("train-negative-seed", "train", "--seed", "-1",

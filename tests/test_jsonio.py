@@ -1,12 +1,27 @@
-"""The one number policy of every JSON reader: ``number`` and ``number_array``."""
+"""The one number policy of every JSON reader, ``number`` and ``number_array``,
+and the one loop every line file is read by, ``line_records``."""
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from handwave import DataError
+from handwave import (
+    AnchorConfig,
+    DataError,
+    HandwaveError,
+    LayerSpec,
+    ParseError,
+    StreamOrderError,
+    ValidationError,
+    load_features,
+    read_frames,
+    read_labelled,
+)
 from handwave._jsonio import number, number_array
+from handwave.detect import read_confidence_maps, read_predictions
 
 HUGE = 10**400  # an integer beyond the float range
 
@@ -98,3 +113,54 @@ def test_number_array_converts_as_float_does(values):
     rows = number_array([values, values[::-1]], "x", DataError, ndim=2)
     want = np.array([[float(v) for v in row] for row in (values, values[::-1])])
     assert rows.tobytes() == want.tobytes()
+
+
+PREDS_CFG = AnchorConfig(layers=(LayerSpec(1, 1, (0.5,), (1.0,)),)).to_obj()
+MAPS = [[0, 0, 0, 1]] * 21
+
+# Each line reader with a valid line and a line whose value is at fault, the
+# class that fault raises, and the class a line that is not JSON raises.
+LINE_READERS = {
+    "read_frames": (read_frames, {"t": 0, "hands": []}, {"t": 1, "hands": {}},
+                    ValidationError, ParseError),
+    "read_labelled": (read_labelled, {"t": 5, "hands": [], "label": "One"},
+                      {"t": 5, "hands": [], "label": "One"}, StreamOrderError, ParseError),
+    "load_features": (load_features, {"subject": "a", "features": [1, 2]},
+                      {"subject": "a"}, DataError, DataError),
+    "read_predictions": (read_predictions, {"anchors_cfg": PREDS_CFG, "preds": [[0] * 5]},
+                         {"anchors_cfg": PREDS_CFG, "preds": [[0] * 5] * 2},
+                         ValidationError, ParseError),
+    "read_confidence_maps": (read_confidence_maps, {"h": 2, "w": 2, "maps": MAPS},
+                             {"h": 2, "w": 2, "maps": MAPS[1:]}, ValidationError, ParseError),
+}
+
+
+@pytest.mark.parametrize("from_path", [False, True], ids=["lines", "path"])
+@pytest.mark.parametrize("fault", ["json", "value"])
+@pytest.mark.parametrize("reader", sorted(LINE_READERS))
+def test_line_fault_names_its_line_and_keeps_its_class(tmp_path, reader, fault, from_path):
+    read, good, bad, value_error, json_error = LINE_READERS[reader]
+    lines = ["  \n", json.dumps(good) + "\n",
+             json.dumps(bad) + "\n" if fault == "value" else '{"t": \n']
+    source = lines
+    if from_path:
+        source = tmp_path / "lines.jsonl"
+        source.write_text("".join(lines))
+    with pytest.raises(HandwaveError) as info:
+        list(read(source))
+    assert type(info.value) is (value_error if fault == "value" else json_error)
+    assert str(info.value).startswith("line 3: "), str(info.value)
+
+
+@pytest.mark.parametrize("reader", ["read_frames", "read_labelled", "read_predictions",
+                                    "read_confidence_maps"])
+def test_dropped_reader_closes_its_file(tmp_path, reader):
+    read, good = LINE_READERS[reader][:2]
+    path = tmp_path / "lines.jsonl"
+    path.write_text((json.dumps(good) + "\n") * 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = read(path)
+        next(records)
+        del records
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -49,6 +49,11 @@ class TestLandmarkSet:
         with pytest.raises(ValidationError, match="21"):
             LandmarkSet(points=np.zeros((20, 2)), handedness="R")
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        hand = make_hand()
+        assert hand.__eq__((hand.points, hand.handedness)) is NotImplemented
+        assert hand != (hand.points, hand.handedness)
+
     def test_confidences_default_to_ones(self):
         lms = make_hand()
         assert lms.confidences.shape == (21,)

@@ -16,13 +16,18 @@ from hypothesis import strategies as st
 
 from handwave import (
     AdamState,
+    Anchor,
     AuthDecision,
+    BBox,
     DataError,
     DimensionError,
     EmptyBatchError,
     EncoderParams,
     EnrollmentRecord,
+    EvalReport,
+    EvalRow,
     NumericsError,
+    RawPrediction,
     ValidationError,
     adam_step,
     encoder_backward,
@@ -803,9 +808,43 @@ class TestApiChecks:
          "encoder dimensions must be positive"),
         (lambda: validate_frame("x"), ValidationError,
          "frame: expected HandFrame, got str"),
+        (lambda: Anchor(math.nan, 0.5, 0.5, 0.5), ValidationError,
+         "anchor: fields must be finite"),
+        (lambda: Anchor(1.5, 0.5, 0.5, 0.5), ValidationError,
+         "anchor: center (1.5, 0.5) outside [0, 1]"),
+        (lambda: Anchor(0.5, 0.5, 0.0, 0.5), ValidationError,
+         "anchor: size (0.0, 0.5) outside (0, 1]"),
+        (lambda: BBox(math.inf, 0.5, 0.5, 0.5, 0.5), ValidationError,
+         "box: fields must be finite"),
+        (lambda: BBox(0.5, 0.5, 0.5, 0.5, 1.5), ValidationError,
+         "box: score must lie in [0, 1], got 1.5"),
+        (lambda: RawPrediction(math.nan, 0.0, 0.0, 0.0, 0.0), ValidationError,
+         "prediction: fields must be finite"),
+        (lambda: EvalRow("x", 0, 0, 0, 0.0, 0.0, 0.0), ValidationError,
+         "row 'x': total_frames must be positive"),
+        (lambda: EvalReport(rows=(EvalRow.from_counts("A", 1, 1),),
+                            totals=EvalRow.from_counts("total", 2, 2), labels=("A",),
+                            columns=("A", "none"), confusion=[[1, 0]]),
+         ValidationError, "confusion: grand total does not match frame count"),
+        (lambda: euclidean_distance(np.ones((2, 2)), np.ones(2)), DimensionError,
+         "expected vectors, got shapes (2, 2) and (2,)"),
+        (lambda: enroll("s", np.ones((1, 2, 4)), init_encoder(4, 4, 2), 0.5), DimensionError,
+         "samples: expected (N, D) or (D,), got shape (1, 2, 4)"),
+        (lambda: EncoderParams(np.ones(3), np.ones(2), np.ones((1, 2)), np.ones(1)),
+         DimensionError, "encoder: w1/w2 must be matrices and b1/b2 vectors"),
+        (lambda: adam_step({"w": np.zeros(2)}, {"v": np.zeros(2)},
+                           AdamState.initial({"w": np.zeros(2)})),
+         DimensionError, "adam: params, grads, and state must share the same keys"),
+        (lambda: adam_step({"w": np.zeros(2)}, {"w": np.zeros(3)},
+                           AdamState.initial({"w": np.zeros(2)})),
+         DimensionError, "adam: gradient 'w' shape (3,) != (2,)"),
     ], ids=["roc-nan", "roc-negative", "train-nan", "train-widths", "train-epochs",
             "train-triplets", "mine-count", "enroll-nan", "encoder-w2-columns",
-            "encoder-w1-inf", "encoder-dimensions", "validate-frame-type"])
+            "encoder-w1-inf", "encoder-dimensions", "validate-frame-type",
+            "anchor-nan", "anchor-center", "anchor-size", "box-inf", "box-score",
+            "prediction-nan", "eval-row-total", "eval-report-grand-total",
+            "distance-shapes", "enroll-3d-samples", "encoder-ndim", "adam-keys",
+            "adam-shape"])
     def test_check_message(self, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call()
